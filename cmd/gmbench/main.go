@@ -15,10 +15,6 @@
 //	gmbench -schedab       scheduling A/B: static vs chunked vs stealing
 //	gmbench -chaos         seeded chaos campaign: fault/stall/budget
 //	                       schedules with a bit-identity survival report
-//	gmbench -dirsweep      direction sweep: interleaved push vs pull vs
-//	                       auto A/B (BFS and PageRank on the Figure-6
-//	                       graphs) with bit-identity enforcement and the
-//	                       auto arm's per-superstep direction schedule
 //	gmbench -all           every mode above
 //
 // -scale multiplies graph sizes (scale 1 ≈ 5-8k vertices per graph);
@@ -32,11 +28,7 @@
 // Scheduling knobs (every engine run except the -schedab configs, which
 // set their own): -chunk N forces the scheduler chunk size (0 = auto),
 // -sched steal|nosteal toggles deterministic work stealing, and
-// -part mod|degree selects the partitioner. -direction push|pull|auto
-// selects the superstep execution direction for every engine run except
-// the -dirsweep arms, which set their own; the default is push (the
-// classic Pregel dataflow), auto enables the Beamer-style
-// density-triggered pull heuristic.
+// -part mod|degree selects the partitioner.
 //
 // Observability:
 //
@@ -87,17 +79,15 @@ func main() {
 		scaling  = flag.Bool("scaling", false, "run the worker-count scaling sweep (Figure-7-style)")
 		schedab  = flag.Bool("schedab", false, "run the scheduling A/B (static vs chunked vs stealing, interleaved trials)")
 		chaosRun = flag.Bool("chaos", false, "run the seeded chaos campaign (faults, stalls, memory pressure) with a survival report")
-		dirsweep = flag.Bool("dirsweep", false, "run the direction sweep (interleaved push vs pull vs auto A/B with bit-identity enforcement)")
 		all      = flag.Bool("all", false, "regenerate everything")
 		scale    = flag.Int("scale", 2, "graph scale multiplier")
 		workers  = flag.Int("workers", 8, "engine workers")
 		trials   = flag.Int("trials", 3, "timing trials (minimum is reported)")
 		seed     = flag.Int64("seed", 1, "random seed")
 
-		chunk     = flag.Int("chunk", 0, "scheduler chunk size (0 = automatic)")
-		sched     = flag.String("sched", "steal", "work stealing: steal or nosteal")
-		part      = flag.String("part", "mod", "partitioner: mod or degree")
-		direction = flag.String("direction", "push", "superstep execution direction: push, pull, or auto")
+		chunk = flag.Int("chunk", 0, "scheduler chunk size (0 = automatic)")
+		sched = flag.String("sched", "steal", "work stealing: steal or nosteal")
+		part  = flag.String("part", "mod", "partitioner: mod or degree")
 
 		scalingScale   = flag.Int("scaling-scale", 8, "scaling: generator scale for the sweep (independent of -scale; large enough that parallelism pays)")
 		scalingWorkers = flag.Int("scaling-workers", 8, "scaling: maximum worker count swept (1, 2, 4, ... up to this)")
@@ -138,23 +128,9 @@ func main() {
 		os.Exit(2)
 	}
 	bench.SetSchedTuning(*chunk, noSteal, partKind)
-	var dir pregel.Direction
-	switch *direction {
-	case "push":
-		dir = pregel.DirPush
-	case "pull":
-		dir = pregel.DirPull
-	case "auto":
-		dir = pregel.DirAuto
-	default:
-		fmt.Fprintf(os.Stderr, "gmbench: -direction must be push, pull, or auto, got %q\n", *direction)
-		os.Exit(2)
-	}
-	bench.SetDirection(dir)
 
 	rep := &bench.Report{Meta: bench.Meta{
 		Scale: *scale, Workers: *workers, Trials: *trials, Seed: *seed,
-		Direction:  *direction,
 		GoMaxProcs: runtime.GOMAXPROCS(0),
 		NumCPU:     runtime.NumCPU(),
 	}}
@@ -205,10 +181,6 @@ func main() {
 		}},
 		{"chaos", func() bool { return *chaosRun }, func(w io.Writer, rep *bench.Report) (err error) {
 			rep.Chaos, err = bench.ChaosSuite(w, *scale, *workers, *chaosScheds, *seed)
-			return
-		}},
-		{"dirsweep", func() bool { return *dirsweep }, func(w io.Writer, rep *bench.Report) (err error) {
-			rep.Direction, err = bench.DirectionSweep(w, *scale, *workers, *trials, *seed)
 			return
 		}},
 	}

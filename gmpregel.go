@@ -70,23 +70,6 @@ const (
 // and checkpoint/recovery accounting.
 type Stats = pregel.Stats
 
-// Direction selects push, pull, or per-superstep direction-optimized
-// execution (Config.Direction). Results and Stats are bit-identical
-// across directions by construction; only wall time changes.
-type Direction = pregel.Direction
-
-// Directions: legacy push, forced pull (on gather-eligible supersteps),
-// and the Beamer-style per-superstep density heuristic.
-const (
-	DirPush = pregel.DirPush
-	DirPull = pregel.DirPull
-	DirAuto = pregel.DirAuto
-)
-
-// DirectionTrace records the per-superstep push/pull choices of a
-// direction-optimized run (Config.DirTrace).
-type DirectionTrace = pregel.DirectionTrace
-
 // Checkpointable is implemented by jobs whose state the engine snapshots
 // at checkpoint barriers and restores on rollback; compiled programs
 // implement it automatically.
@@ -162,7 +145,6 @@ const (
 	PhaseSpill         = obs.PhaseSpill
 	PhaseWatchdog      = obs.PhaseWatchdog
 	PhaseRun           = obs.PhaseRun
-	PhasePull          = obs.PhasePull
 )
 
 // TraceRing is a bounded in-memory span buffer observer.

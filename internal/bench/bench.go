@@ -35,7 +35,6 @@ var tuning struct {
 	chunkSize int
 	noSteal   bool
 	part      pregel.PartitionKind
-	direction pregel.Direction
 }
 
 // SetSchedTuning applies scheduling knobs to every subsequent engine run
@@ -44,11 +43,6 @@ var tuning struct {
 func SetSchedTuning(chunkSize int, noSteal bool, part pregel.PartitionKind) {
 	tuning.chunkSize, tuning.noSteal, tuning.part = chunkSize, noSteal, part
 }
-
-// SetDirection applies the push/pull/auto execution direction (-direction)
-// to every subsequent engine run the harness performs. The direction
-// sweep overrides it per arm; every other mode inherits it.
-func SetDirection(d pregel.Direction) { tuning.direction = d }
 
 // engineConfig is the single place harness code builds a pregel.Config,
 // so the observer and scheduling knobs reach every run.
@@ -60,7 +54,6 @@ func engineConfig(workers int, seed int64) pregel.Config {
 		ChunkSize:   tuning.chunkSize,
 		NoSteal:     tuning.noSteal,
 		Partitioner: tuning.part,
-		Direction:   tuning.direction,
 	}
 }
 

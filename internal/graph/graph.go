@@ -98,12 +98,6 @@ func (g *Directed) buildIn() {
 // be read from any goroutine without synchronization.
 func (g *Directed) ensureIn() { g.inOnce.Do(g.buildIn) }
 
-// BuildIn eagerly materializes the reverse CSR (and the in-edge→out-edge
-// index), so later InNbrs/InDegree/InEdgeIndices calls on hot paths are
-// pure reads that never allocate. The engine calls this at construction
-// when a pull-capable direction mode is configured.
-func (g *Directed) BuildIn() { g.ensureIn() }
-
 // InDegree returns the in-degree of v, building the reverse CSR if needed.
 func (g *Directed) InDegree(v NodeID) int {
 	g.ensureIn()
@@ -112,8 +106,7 @@ func (g *Directed) InDegree(v NodeID) int {
 
 // InNbrs returns the in-neighbors of v, building the reverse CSR if
 // needed. The returned slice aliases the graph's storage. Within the
-// slice, sources appear in ascending (source, out-edge-index) order —
-// the canonical order the engine's pull phase relies on.
+// slice, sources appear in ascending (source, out-edge-index) order.
 func (g *Directed) InNbrs(v NodeID) []NodeID {
 	g.ensureIn()
 	return g.inSrc[g.inStart[v]:g.inStart[v+1]]

@@ -308,7 +308,11 @@ func TestReadEdgeListNoHeader(t *testing.T) {
 }
 
 func TestReadEdgeListErrors(t *testing.T) {
-	for _, bad := range []string{"0\n", "a b\n", "0 x\n", "# nodes 2 edges 1\n0 5\n"} {
+	for _, bad := range []string{
+		"0\n", "a b\n", "0 x\n", "# nodes 2 edges 1\n0 5\n",
+		"# nodes 3 edges -1\n", "-2 1\n", "0 -1\n", "# nodes -4 edges 0\n",
+		"# nodes 2147483648 edges 0\n",
+	} {
 		if _, err := ReadEdgeList(bytes.NewBufferString(bad)); err == nil {
 			t.Errorf("input %q: want error, got nil", bad)
 		}

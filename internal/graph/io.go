@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -29,8 +30,20 @@ func WriteEdgeList(w io.Writer, g *Directed) error {
 // ReadEdgeList parses the format produced by WriteEdgeList. Lines
 // beginning with '#' other than the header are ignored, as are blank
 // lines. If no header is present, the vertex count is inferred as
-// 1 + max endpoint.
+// 1 + max endpoint. Negative counts or vertex IDs, and node counts
+// beyond the NodeID range, are errors.
 func ReadEdgeList(r io.Reader) (*Directed, error) {
+	return readEdgeList(r, math.MaxInt32)
+}
+
+// maxEdgeHint caps the slice capacity reserved from a header's edge
+// count, so a corrupt header cannot force a giant allocation up front;
+// larger graphs grow past it as their edges are read.
+const maxEdgeHint = 1 << 16
+
+// readEdgeList is ReadEdgeList with an explicit bound on the vertex
+// count, which sizes the CSR arrays.
+func readEdgeList(r io.Reader, maxNodes int) (*Directed, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	var edges []Edge
@@ -46,8 +59,11 @@ func ReadEdgeList(r io.Reader) (*Directed, error) {
 		if strings.HasPrefix(line, "#") {
 			var hn, hm int
 			if _, err := fmt.Sscanf(line, "# nodes %d edges %d", &hn, &hm); err == nil {
+				if hn < 0 || hm < 0 {
+					return nil, fmt.Errorf("graph: line %d: negative count in header %q", lineNo, line)
+				}
 				n = hn
-				edges = make([]Edge, 0, hm)
+				edges = make([]Edge, 0, min(hm, maxEdgeHint))
 			}
 			continue
 		}
@@ -63,6 +79,9 @@ func ReadEdgeList(r io.Reader) (*Directed, error) {
 		if err != nil {
 			return nil, fmt.Errorf("graph: line %d: bad dst %q: %v", lineNo, fields[1], err)
 		}
+		if s < 0 || d < 0 {
+			return nil, fmt.Errorf("graph: line %d: negative vertex id in %q", lineNo, line)
+		}
 		e := Edge{NodeID(s), NodeID(d)}
 		if e.Src > maxID {
 			maxID = e.Src
@@ -77,6 +96,9 @@ func ReadEdgeList(r io.Reader) (*Directed, error) {
 	}
 	if n < 0 {
 		n = int(maxID) + 1
+	}
+	if n > maxNodes {
+		return nil, fmt.Errorf("graph: node count %d exceeds the limit %d", n, maxNodes)
 	}
 	if int(maxID) >= n {
 		return nil, fmt.Errorf("graph: endpoint %d exceeds declared node count %d", maxID, n)

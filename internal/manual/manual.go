@@ -75,19 +75,6 @@ func (j *AvgTeen) VertexCompute(vc *pregel.VertexContext) {
 	}
 }
 
-// GatherEligible: only superstep 0 pushes messages (teens to their
-// followees), with an empty payload derivable from the sender's age.
-func (j *AvgTeen) GatherEligible(superstep int) bool { return superstep == 0 }
-
-// Gather re-derives superstep 0's send: an (empty) message exists on
-// every out-edge of a teenage sender.
-func (j *AvgTeen) Gather(gc *pregel.GatherContext, src graph.NodeID, edge int64) (pregel.Msg, bool) {
-	if j.Age[src] >= 13 && j.Age[src] <= 19 {
-		return pregel.Msg{}, true
-	}
-	return pregel.Msg{}, false
-}
-
 // PageRank is the manual Pregel job for damped PageRank. Superstep 0
 // initializes ranks; every later superstep receives the previous
 // round's contributions, computes the new rank and the L1 delta, and
@@ -150,19 +137,6 @@ func (j *PageRank) VertexCompute(vc *pregel.VertexContext) {
 	var m pregel.Msg
 	m.SetFloat(0, j.PR[v]/float64(vc.OutDegree()))
 	vc.SendToAllNbrs(m)
-}
-
-// GatherEligible: superstep 0 only initializes (no sends); every later
-// superstep sends PR/outdeg to all out-neighbors, and PR is not
-// rewritten after the send, so the payload is derivable from the
-// sender's post-compute state.
-func (j *PageRank) GatherEligible(superstep int) bool { return superstep >= 1 }
-
-// Gather re-derives the contribution src pushed along one out-edge.
-func (j *PageRank) Gather(gc *pregel.GatherContext, src graph.NodeID, edge int64) (pregel.Msg, bool) {
-	var m pregel.Msg
-	m.SetFloat(0, j.PR[src]/float64(gc.OutDegree(src)))
-	return m, true
 }
 
 // Conductance is the manual Pregel job for subset conductance. It
@@ -258,20 +232,6 @@ func (j *Conductance) VertexCompute(vc *pregel.VertexContext) {
 			vc.AggInt(2, int64(len(vc.Messages())))
 		}
 	}
-}
-
-// GatherEligible: superstep 0's ID broadcast is the only push phase
-// whose payload is a pure function of the sender (its own ID);
-// superstep 1's crossing notifications go to in-neighbors and are not
-// gather-derivable.
-func (j *Conductance) GatherEligible(superstep int) bool { return superstep == 0 }
-
-// Gather re-derives the superstep-0 ID exchange.
-func (j *Conductance) Gather(gc *pregel.GatherContext, src graph.NodeID, edge int64) (pregel.Msg, bool) {
-	var m pregel.Msg
-	m.SetNode(0, src)
-	m.Type = 0
-	return m, true
 }
 
 // SSSP is the manual Pregel job for single-source shortest paths — the

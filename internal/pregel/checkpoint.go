@@ -37,7 +37,12 @@ type countingSource struct {
 	seed  int64
 	src   rand.Source
 	draws int64
+	high  int64 // largest draw count a jump rewound from
 }
+
+// reached is the furthest stream position this source has drawn to,
+// including positions a rollback rewound.
+func (s *countingSource) reached() int64 { return max(s.draws, s.high) }
 
 func newCountingSource(seed int64) *countingSource {
 	//gm:nondeterministic-ok seeded from Config.Seed and draw-counted, so checkpoints replay the exact stream position
@@ -57,6 +62,7 @@ func (s *countingSource) Seed(seed int64) {
 // jump rewinds to the seed and fast-forwards the stream to the given
 // draw count.
 func (s *countingSource) jump(draws int64) {
+	s.high = s.reached()
 	s.src.Seed(s.seed)
 	s.draws = 0
 	for s.draws < draws {
@@ -190,10 +196,11 @@ func (e *engine) restoreCheckpoint() (err error) {
 //	[version:u8][payloadLen:u64 LE][payload][fnv64a(payload):u64 LE]
 //
 // — so a torn or bit-flipped snapshot is detected instead of decoded;
-// v4 appends the direction-optimizer history (one byte per decided
-// superstep) so rollback-and-replay re-executes the identical push/pull
-// schedule.
-const checkpointVersion = 4
+// v4 appended a per-superstep push/pull direction history; v5 drops that
+// history together with the per-worker RNG draw-count slot v2 reserved
+// (always written as zero since vertex RNG streams became per-vertex
+// seeded).
+const checkpointVersion = 5
 
 // frameHeaderBytes is the version byte plus the payload-length word;
 // frameTrailerBytes the checksum word.
@@ -212,19 +219,44 @@ func fnv64a(b []byte) uint64 {
 	return h
 }
 
-// verifyFrame reports whether data is a structurally intact v3
+// verifyFrame reports whether data is a structurally intact
 // checkpoint: version, exact length, and payload checksum all match.
 func verifyFrame(data []byte) bool {
-	if len(data) < frameHeaderBytes+frameTrailerBytes || data[0] != checkpointVersion {
-		return false
+	_, err := framePayload(data)
+	return err == nil
+}
+
+// framePayload checks data's integrity frame and returns its payload.
+func framePayload(data []byte) ([]byte, error) {
+	if len(data) < 1 {
+		return nil, fmt.Errorf("truncated checkpoint (%d bytes)", len(data))
 	}
+	if v := data[0]; v != checkpointVersion {
+		return nil, fmt.Errorf("unknown checkpoint version %d", v)
+	}
+	if len(data) < frameHeaderBytes+frameTrailerBytes {
+		return nil, fmt.Errorf("truncated checkpoint (%d bytes)", len(data))
+	}
+	// Compare plen with the payload bytes present instead of adding it
+	// to the frame size, which a corrupt length word could wrap around.
 	plen := binary.LittleEndian.Uint64(data[1:frameHeaderBytes])
-	if uint64(len(data)) != frameHeaderBytes+plen+frameTrailerBytes {
-		return false
+	avail := uint64(len(data) - frameHeaderBytes - frameTrailerBytes)
+	if plen > avail {
+		return nil, fmt.Errorf("truncated checkpoint (%d bytes)", len(data))
+	}
+	if plen < avail {
+		return nil, fmt.Errorf("checkpoint has %d trailing bytes", avail-plen)
 	}
 	payload := data[frameHeaderBytes : frameHeaderBytes+plen]
-	return fnv64a(payload) == binary.LittleEndian.Uint64(data[frameHeaderBytes+plen:])
+	if fnv64a(payload) != binary.LittleEndian.Uint64(data[frameHeaderBytes+plen:]) {
+		return nil, fmt.Errorf("checkpoint checksum mismatch")
+	}
+	return payload, nil
 }
+
+// msgWireBytes is one inbox message's encoded size: destination, type
+// and payload slots.
+const msgWireBytes = 4 + 1 + 8*len(Msg{}.V)
 
 type stateEnc struct{ b []byte }
 
@@ -259,7 +291,27 @@ func (r *stateDec) u8() byte    { return r.take(1)[0] }
 func (r *stateDec) u32() uint32 { return binary.LittleEndian.Uint32(r.take(4)) }
 func (r *stateDec) u64() uint64 { return binary.LittleEndian.Uint64(r.take(8)) }
 func (r *stateDec) i64() int64  { return int64(r.u64()) }
-func (r *stateDec) bool() bool  { return r.u8() != 0 }
+
+// bool accepts only the two encodings stateEnc.bool writes.
+func (r *stateDec) bool() bool {
+	b := r.u8()
+	if b > 1 {
+		r.bad = true
+	}
+	return b == 1
+}
+
+// count reads a u32 element count and checks that the payload still
+// holds that many elements of elemBytes each, so a corrupt count can
+// neither drive a huge allocation nor a long loop over missing bytes.
+func (r *stateDec) count(elemBytes int) int {
+	n := int(r.u32())
+	if r.bad || n > (len(r.b)-r.off)/elemBytes {
+		r.bad = true
+		return 0
+	}
+	return n
+}
 
 func (e *engine) encodeState() []byte {
 	w := &stateEnc{}
@@ -298,15 +350,8 @@ func (e *engine) encodeState() []byte {
 		w.i64(s.LocalBytes)
 		w.i64(s.ControlBytes)
 	}
-	w.u32(uint32(len(e.dirHistory)))
-	w.b = append(w.b, e.dirHistory...)
 	w.u32(uint32(len(e.workers)))
 	for _, wk := range e.workers {
-		// Layout compatibility: v2 reserved a per-worker RNG draw count
-		// here. Vertex RNG streams are now seeded per (vertex, superstep)
-		// and carry no position, so the slot is written as zero and
-		// ignored on decode.
-		w.i64(0)
 		w.u32(uint32(len(wk.active)))
 		for _, a := range wk.active {
 			w.bool(a)
@@ -338,22 +383,9 @@ func (e *engine) encodeState() []byte {
 // (Recoveries, RecoveredSupersteps, Checkpoints, CheckpointBytes) are
 // preserved, not rewound.
 func (e *engine) decodeState(data []byte) error {
-	if len(data) < 1 {
-		return fmt.Errorf("truncated checkpoint (%d bytes)", len(data))
-	}
-	if v := data[0]; v != checkpointVersion {
-		return fmt.Errorf("unknown checkpoint version %d", v)
-	}
-	if len(data) < frameHeaderBytes {
-		return fmt.Errorf("truncated checkpoint (%d bytes)", len(data))
-	}
-	plen := binary.LittleEndian.Uint64(data[1:frameHeaderBytes])
-	if uint64(len(data)) < frameHeaderBytes+plen+frameTrailerBytes {
-		return fmt.Errorf("truncated checkpoint (%d bytes)", len(data))
-	}
-	payload := data[frameHeaderBytes : frameHeaderBytes+plen]
-	if fnv64a(payload) != binary.LittleEndian.Uint64(data[frameHeaderBytes+plen:]) {
-		return fmt.Errorf("checkpoint checksum mismatch")
+	payload, err := framePayload(data)
+	if err != nil {
+		return err
 	}
 	r := &stateDec{b: payload}
 	e.halted = r.bool()
@@ -361,7 +393,13 @@ func (e *engine) decodeState(data []byte) error {
 	e.retIsInt = r.bool()
 	e.retInt = r.i64()
 	e.retFloat = floatFromBits(r.u64())
-	e.masterSrc.jump(r.i64())
+	// A snapshot of this run never records more master draws than the
+	// run has made, which also bounds the replay loop in jump.
+	draws := r.i64()
+	if draws < 0 || draws > e.masterSrc.reached() {
+		return fmt.Errorf("checkpoint master RNG position %d beyond the run's %d draws", draws, e.masterSrc.reached())
+	}
+	e.masterSrc.jump(draws)
 	if n := int(r.u32()); n != len(e.globals) {
 		return fmt.Errorf("global count mismatch: %d vs %d", n, len(e.globals))
 	}
@@ -388,7 +426,7 @@ func (e *engine) decodeState(data []byte) error {
 	}
 	e.stats.Recoveries, e.stats.RecoveredSupersteps, e.stats.Checkpoints, e.stats.CheckpointBytes = rec, recSteps, cks, ckb
 	e.stats.Spills, e.stats.SpillBytes, e.stats.MemoryPeakBytes, e.stats.WatchdogStalls = sp, spb, mpk, wds
-	if n := int(r.u32()); n > 0 {
+	if n := r.count(6 * 8); n > 0 {
 		e.stats.Steps = make([]StepStats, n)
 		for i := range e.stats.Steps {
 			e.stats.Steps[i] = StepStats{
@@ -401,22 +439,11 @@ func (e *engine) decodeState(data []byte) error {
 			}
 		}
 	}
-	// Direction history is monotone (like the recovery counters): the
-	// live history is always at least as long as the snapshot's, and its
-	// prefix is identical — chooseDirection replays recorded entries, so
-	// a longer live history only extends the snapshot. Keep whichever is
-	// longer so a restored run re-executes the identical schedule.
-	if n := int(r.u32()); n > len(e.dirHistory) {
-		e.dirHistory = append(e.dirHistory[:0], r.take(n)...)
-	} else {
-		r.take(n)
-	}
 	if n := int(r.u32()); n != len(e.workers) {
 		return fmt.Errorf("worker count mismatch: %d vs %d", n, len(e.workers))
 	}
 	for _, wk := range e.workers {
-		r.i64() // reserved per-worker RNG draw count (always zero; see encode)
-		if n := int(r.u32()); n != len(wk.active) {
+		if n := r.count(1); r.bad || n != len(wk.active) {
 			return fmt.Errorf("worker %d active-flag count mismatch", wk.index)
 		}
 		wk.numActive = 0
@@ -427,7 +454,7 @@ func (e *engine) decodeState(data []byte) error {
 			}
 		}
 		wk.inFlat = wk.inFlat[:0]
-		for i, n := 0, int(r.u32()); i < n; i++ {
+		for i, n := 0, r.count(msgWireBytes); i < n; i++ {
 			var m Msg
 			m.Dst = nodeFromU32(r.u32())
 			m.Type = r.u8()
@@ -456,15 +483,12 @@ func (e *engine) decodeState(data []byte) error {
 		for ci := range wk.chunks {
 			ck := &wk.chunks[ci]
 			na := int32(0)
-			fe := int64(0)
 			for li := ck.lo; li < ck.hi; li++ {
 				if wk.active[li] {
 					na++
-					fe += int64(e.g.OutDegree(wk.ids[li]))
 				}
 			}
 			ck.numActive = na
-			ck.frontEdges = fe
 			for d := range ck.boxes {
 				ck.boxes[d] = ck.boxes[d][:0]
 			}
@@ -490,16 +514,14 @@ func (e *engine) decodeState(data []byte) error {
 		wk.phaseErr = nil
 		wk.stallNS = 0
 		wk.spilled = false
-		wk.pull = false
 		wk.inDepth.Store(int64(wk.inTotal))
 	}
-	e.pullStep = false
 	for _, x := range e.executors {
 		x.err = nil
 		x.rngStep = -1
 	}
-	if r.bad {
-		return fmt.Errorf("truncated checkpoint (%d bytes)", len(data))
+	if r.bad || r.off != len(r.b) {
+		return fmt.Errorf("malformed checkpoint payload (%d bytes)", len(payload))
 	}
 	return nil
 }

@@ -172,23 +172,14 @@ func (vc *VertexContext) deliver(m Msg) {
 	}
 }
 
-// Send sends m to dst, delivered next superstep. In a pull superstep
-// the push is suppressed: the gather phase re-derives every message
-// from the sender's post-compute state via the job's Gather.
+// Send sends m to dst, delivered next superstep.
 func (vc *VertexContext) Send(dst graph.NodeID, m Msg) {
-	if vc.wk.pull {
-		return
-	}
 	m.Dst = dst
 	vc.deliver(m)
 }
 
-// SendToAllNbrs sends a copy of m to every out-neighbor (suppressed in
-// pull supersteps, like Send).
+// SendToAllNbrs sends a copy of m to every out-neighbor.
 func (vc *VertexContext) SendToAllNbrs(m Msg) {
-	if vc.wk.pull {
-		return
-	}
 	nbrs := vc.wk.e.g.OutNbrs(vc.id)
 	wk := vc.wk
 	if wk.combiners != nil {
@@ -249,15 +240,8 @@ func (vc *VertexContext) VoteToHalt() {
 	if vc.wk.active[vc.local] {
 		vc.wk.active[vc.local] = false
 		vc.ck.numActive--
-		vc.ck.frontEdges -= int64(vc.wk.e.g.OutDegree(vc.id))
 	}
 }
-
-// PullStep reports whether the current superstep executes in the pull
-// direction. Jobs whose compiled send work is expensive may branch on
-// it to skip per-edge evaluation the gather will redo anyway; sends
-// are suppressed either way.
-func (vc *VertexContext) PullStep() bool { return vc.wk.pull }
 
 // GlobalInt reads an int global broadcast by the master this superstep.
 func (vc *VertexContext) GlobalInt(s int) int64 { return int64(vc.wk.e.globals[s]) }

@@ -1,12 +1,15 @@
 package pregel
 
 import (
+	"fmt"
 	"reflect"
 	"runtime"
 	"sort"
 	"testing"
 
+	"gmpregel/internal/graph"
 	"gmpregel/internal/graph/gen"
+	"gmpregel/internal/obs"
 )
 
 // workerCounts is the NumWorkers grid the determinism satellite sweeps.
@@ -288,5 +291,104 @@ func (j *orderAllJob) VertexCompute(vc *VertexContext) {
 		var m Msg
 		m.SetInt(0, int64(vc.ID())*100+int64(vc.Superstep()))
 		vc.SendToAllNbrs(m)
+	}
+}
+
+// bfsLevelJob is a level-synchronous BFS from root: a single-vertex
+// frontier that swells and collapses, the frontier shape a
+// direction-switching engine would treat differently from a dense one.
+type bfsLevelJob struct {
+	root  graph.NodeID
+	level []int64
+}
+
+func (j *bfsLevelJob) Schema() Schema                  { return Schema{MessagePayloadBytes: []int{0}} }
+func (j *bfsLevelJob) MasterCompute(mc *MasterContext) {}
+func (j *bfsLevelJob) VertexCompute(vc *VertexContext) {
+	v := vc.ID()
+	if vc.Superstep() == 0 {
+		j.level[v] = -1
+		if v == j.root {
+			j.level[v] = 0
+			vc.SendToAllNbrs(Msg{})
+		}
+	} else if j.level[v] < 0 && len(vc.Messages()) > 0 {
+		j.level[v] = int64(vc.Superstep())
+		vc.SendToAllNbrs(Msg{})
+	}
+	vc.VoteToHalt()
+}
+
+// seqBFSLevels is the sequential reference for bfsLevelJob.
+func seqBFSLevels(g *graph.Directed, root graph.NodeID) []int64 {
+	level := make([]int64, g.NumNodes())
+	for i := range level {
+		level[i] = -1
+	}
+	level[root] = 0
+	for queue := []graph.NodeID{root}; len(queue) > 0; queue = queue[1:] {
+		u := queue[0]
+		for _, w := range g.OutNbrs(u) {
+			if level[w] < 0 {
+				level[w] = level[u] + 1
+				queue = append(queue, w)
+			}
+		}
+	}
+	return level
+}
+
+// TestDirectionStatsBitIdentity pins the engine's single superstep
+// direction on a swelling-and-collapsing BFS frontier: every superstep
+// takes the push path (no pull-phase span is ever emitted), levels
+// match a sequential BFS, and Stats (including the per-step trace) are
+// bit-identical to the default schedule's for the same worker count and
+// partitioner, across chunk sizes and stealing.
+func TestDirectionStatsBitIdentity(t *testing.T) {
+	g := gen.TwitterLike(300, 6, 1)
+	want := seqBFSLevels(g, 0)
+	run := func(t *testing.T, cfg Config) ([]int64, Stats) {
+		t.Helper()
+		ring := obs.NewRing(1 << 16)
+		cfg.Observer = ring
+		j := &bfsLevelJob{root: 0, level: make([]int64, g.NumNodes())}
+		st, err := Run(g, j, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ring.Dropped() != 0 {
+			t.Fatalf("ring dropped %d spans; raise capacity", ring.Dropped())
+		}
+		for _, s := range ring.Spans() {
+			if s.Phase == obs.PhasePull {
+				t.Fatalf("engine emitted a %s span at superstep %d", s.Phase, s.Superstep)
+			}
+		}
+		return j.level, st
+	}
+	for _, workers := range []int{1, 2, 7} {
+		for _, chunk := range []int{1, 64} {
+			for _, noSteal := range []bool{false, true} {
+				for _, part := range []PartitionKind{PartitionMod, PartitionDegree} {
+					base := Config{NumWorkers: workers, Seed: 9, TraceSteps: true, Partitioner: part}
+					name := fmt.Sprintf("w%d-c%d-steal%v-part%d", workers, chunk, !noSteal, part)
+					t.Run(name, func(t *testing.T) {
+						refLvl, refSt := run(t, base)
+						cfg := base
+						cfg.ChunkSize, cfg.NoSteal = chunk, noSteal
+						lvl, st := run(t, cfg)
+						if !reflect.DeepEqual(want, lvl) {
+							t.Error("levels differ from sequential BFS")
+						}
+						if !reflect.DeepEqual(refLvl, lvl) {
+							t.Error("levels differ from default schedule")
+						}
+						if !reflect.DeepEqual(refSt, st) {
+							t.Errorf("stats differ from default schedule:\ndefault: %+v\ngot:     %+v", refSt, st)
+						}
+					})
+				}
+			}
+		}
 	}
 }

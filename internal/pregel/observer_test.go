@@ -2,6 +2,7 @@ package pregel
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -287,11 +288,11 @@ func TestCheckpointOldVersionRejected(t *testing.T) {
 	if data[0] != checkpointVersion {
 		t.Fatalf("version byte = %d, want %d", data[0], checkpointVersion)
 	}
-	for _, v := range []byte{1, 0, 99} {
+	for _, v := range []byte{1, 0, 4, 99} {
 		old := append([]byte(nil), data...)
 		old[0] = v
 		err := e.decodeState(old)
-		if err == nil || !strings.Contains(err.Error(), "unknown checkpoint version") {
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("unknown checkpoint version %d", v)) {
 			t.Errorf("version %d: err = %v, want unknown-version rejection", v, err)
 		}
 	}

@@ -273,21 +273,6 @@ type Config struct {
 	// the target worker's first chunk of the given superstep sleeps for
 	// the configured duration. Each stall fires at most once.
 	Stalls []Stall
-	// Direction selects push, pull, or per-superstep direction-optimized
-	// execution (see the Direction type). Non-push directions require the
-	// job to implement GatherSender; otherwise the engine silently runs
-	// pure push. Results and Stats are bit-identical across directions by
-	// construction.
-	Direction Direction
-	// PullDensity tunes DirAuto: pull when the active frontier's out-edge
-	// mass is at least this fraction of all edges. 0 means the default
-	// (1/16).
-	PullDensity float64
-	// DirTrace, when non-nil, receives the per-superstep direction trace
-	// after the run. It lives outside Stats deliberately: Stats stay
-	// bit-identical between forced-push and forced-pull runs, while the
-	// trace differs by design.
-	DirTrace *DirectionTrace
 }
 
 func (c Config) withDefaults() Config {
@@ -456,7 +441,6 @@ const (
 	phaseRouteCount                   // routing: per-(dest, source-shard) counts (barrier mode)
 	phaseRoutePrefix                  // routing: offsets, inbox resize, reactivation
 	phaseRoutePlace                   // routing: stable placement into the CSR inbox
-	phasePull                         // pull direction: per-worker inbox gather over the reverse CSR
 )
 
 // poolCmd is one barrier release: the phase to run and its superstep.
@@ -519,19 +503,6 @@ type engine struct {
 	noSteal    bool
 	combActive bool // the job registers at least one combiner
 	eager      bool // RouteEager: count outboxes as source shards retire
-
-	// Direction optimization. pullOn is set when the config asks for a
-	// pull-capable direction AND the job implements GatherSender; gplans
-	// are the per-worker pull schedules prebuilt at construction;
-	// dirHistory records the direction byte of every superstep decided so
-	// far (monotone — rollback never truncates it, so replayed supersteps
-	// reuse their recorded direction); pullStep is the current superstep's
-	// choice.
-	pullOn     bool
-	pullStep   bool
-	gatherJob  GatherSender
-	gplans     []gatherPlan
-	dirHistory []uint8
 
 	// Source-shard geometry for routing: workers are grouped into shards
 	// contiguous shard ranges (shardStart[s]..shardStart[s+1]).
@@ -624,10 +595,6 @@ type chunk struct {
 	// incrementally by chunk execution, VoteToHalt, and routing
 	// reactivation.
 	numActive int32
-	// frontEdges is the out-edge mass of the active vertices in [lo, hi):
-	// the frontier-density numerator DirAuto reads. Maintained O(1) per
-	// activation event at the same three sites as numActive.
-	frontEdges int64
 
 	// per-step counters, merged into the owning worker (and cleared) by
 	// the worker epilogue when the worker's last chunk retires
@@ -664,14 +631,6 @@ type worker struct {
 	inFlat    []Msg
 	inOff     []int32 // CSR offsets into inFlat, len = len(ids)+1
 	inTotal   int     // messages routed into inFlat by the last routing phase
-
-	// Direction-optimization state (pull-capable runs only). pull mirrors
-	// engine.pullStep for the hot send path (Send/SendToAllNbrs suppress
-	// pushes during pull supersteps — the gather re-derives them); ran[li]
-	// records whether vertex li's VertexCompute ran this superstep, read
-	// cross-worker by the gather after the vertex-phase barrier.
-	pull bool
-	ran  []bool
 
 	chunks []chunk
 	// cursor is the next unclaimed chunk index (vertex phase).
@@ -786,12 +745,6 @@ type executor struct {
 	id   int
 	cmds chan poolCmd
 	vc   VertexContext
-	// gc is the reused gather context for pull supersteps; gslot is the
-	// per-message-type combiner slot scratch the gather resets per
-	// (destination, source-worker) group (nil unless the run is
-	// pull-capable and the job registers combiners).
-	gc    GatherContext
-	gslot []int32
 
 	// Per-vertex RNG: a splitmix64 source lazily reseeded on the first
 	// Rand() call of each (vertex, superstep), making the stream
@@ -868,9 +821,6 @@ func RunContext(ctx context.Context, g *graph.Directed, job Job, cfg Config) (St
 	e := newEngine(g, job, cfg)
 	defer e.stop()
 	err := e.loop(ctx)
-	if cfg.DirTrace != nil {
-		*cfg.DirTrace = *e.directionTrace()
-	}
 	// Partial results: report the master's recorded return value even
 	// when the run aborted.
 	e.stats.ReturnedIsSet = e.retSet
@@ -1023,9 +973,6 @@ func newEngine(g *graph.Directed, job Job, cfg Config) *engine {
 				ck.hi = int32(nw)
 			}
 			ck.numActive = ck.hi - ck.lo
-			for li := ck.lo; li < ck.hi; li++ {
-				ck.frontEdges += int64(g.OutDegree(wk.ids[li]))
-			}
 			ck.agg = make([]aggCell, len(e.schema.Aggregators))
 			if combiners == nil {
 				ck.boxes = make([][]Msg, e.numWorkers)
@@ -1042,17 +989,6 @@ func newEngine(g *graph.Directed, job Job, cfg Config) *engine {
 		e.workers[w] = wk
 	}
 
-	// Direction optimization arms only when the job can gather; the
-	// reverse CSR and per-worker gather plans are prebuilt here so pull
-	// supersteps never allocate or sort.
-	if cfg.Direction != DirPush {
-		if gs, ok := job.(GatherSender); ok {
-			e.pullOn = true
-			e.gatherJob = gs
-			e.buildGatherPlans()
-		}
-	}
-
 	// The persistent pool: one executor goroutine per worker for the
 	// whole run, parked on its command channel between phases.
 	// engine.stop (deferred by RunContext) shuts them down on every exit
@@ -1062,10 +998,6 @@ func newEngine(g *graph.Directed, job Job, cfg Config) *engine {
 		x := &executor{e: e, id: i, rngStep: -1, seedBase: mix64(uint64(cfg.Seed) ^ 0x5bf03635aca1fd6b)}
 		x.rng = rand.New(&x.rngSrc) //gm:nondeterministic-ok wraps the per-vertex reseeded source (seedBase ^ step ^ id); schedule-independent by construction
 		x.vc = VertexContext{ex: x}
-		x.gc = GatherContext{e: e, ex: x}
-		if e.pullOn && e.combActive {
-			x.gslot = make([]int32, len(e.msgSize))
-		}
 		x.cmds = make(chan poolCmd, 1)
 		x.curPhase.Store(-1)
 		e.executors[i] = x
@@ -1168,8 +1100,6 @@ func (x *executor) runCmd(cmd poolCmd) {
 		x.prefixPhase()
 	case phaseRoutePlace:
 		x.routePhase(phaseRoutePlace)
-	case phasePull:
-		x.gatherPhase(cmd.step)
 	}
 }
 
@@ -1183,8 +1113,6 @@ func (k phaseKind) String() string {
 		return "route-prefix"
 	case phaseRoutePlace:
 		return "route-place"
-	case phasePull:
-		return "pull"
 	}
 	return "unknown"
 }
@@ -1333,18 +1261,11 @@ func (x *executor) runChunk(wk *worker, ci, step int) {
 		}
 		hasMsgs := wk.inOff[li+1] > wk.inOff[li]
 		if !wk.active[li] && !hasMsgs {
-			if wk.pull {
-				wk.ran[li] = false
-			}
 			continue
 		}
 		if !wk.active[li] {
 			wk.active[li] = true
 			ck.numActive++
-			ck.frontEdges += int64(e.g.OutDegree(wk.ids[li]))
-		}
-		if wk.pull {
-			wk.ran[li] = true
 		}
 		vc.id = wk.ids[li]
 		vc.local = li
@@ -1384,11 +1305,7 @@ func (e *engine) workerEpilogue(wk *worker, executor int) {
 			ck.agg[s] = aggCell{}
 		}
 	}
-	// Pull supersteps emit no pushes: outboxes are empty, so the eager
-	// shard count would only write zeros. Skip it — the gather rebuilds
-	// the inbox directly and the next push superstep recounts from
-	// scratch.
-	if !e.eager || e.pullStep {
+	if !e.eager {
 		return
 	}
 	sh := e.workerShard[wk.index]
@@ -1596,15 +1513,6 @@ func (e *engine) run(ctx context.Context) error {
 		if err != nil {
 			return err
 		}
-		// Direction choice: after the master phase (the machine executor's
-		// master picks the superstep's state there, which GatherEligible
-		// consults), before compute. Replayed supersteps reuse the
-		// recorded direction (dirHistory is monotone, like the recovery
-		// counters).
-		pull := false
-		if !halted {
-			pull = e.chooseDirection(step)
-		}
 		// The state label is queried after the master phase because the
 		// machine executor's master picks the superstep's state there.
 		var stateLabel string
@@ -1612,25 +1520,11 @@ func (e *engine) run(ctx context.Context) error {
 			if pl, ok := e.job.(PhaseLabeler); ok {
 				stateLabel = pl.PhaseLabel()
 			}
-			var dirLabel string
-			if e.pullOn && !halted {
-				if pull {
-					dirLabel = "pull"
-				} else {
-					dirLabel = "push"
-				}
-			}
 			e.emit(obs.Span{Superstep: step, Worker: -1, Phase: obs.PhaseMaster,
-				State: stateLabel, Dir: dirLabel, StartNS: masterT0, DurNS: e.nowNS() - masterT0})
+				State: stateLabel, StartNS: masterT0, DurNS: e.nowNS() - masterT0})
 		}
 		if halted {
 			return nil
-		}
-		e.pullStep = pull
-		if e.pullOn {
-			for _, wk := range e.workers {
-				wk.pull = pull
-			}
 		}
 		// Vertex phase: release the parked pool into the chunk queues.
 		e.armVertexFault(step)
@@ -1655,53 +1549,6 @@ func (e *engine) run(ctx context.Context) error {
 			}
 			step = resume
 			continue
-		}
-		// Pull gather: rebuild every worker's inbox from in-neighbors
-		// before the barrier merge, so the gather's message counters land
-		// in this superstep's partials exactly where push's send-time
-		// counters do. An armed routing-family fault fires inside the
-		// gather instead (the routing pass it targets does not run).
-		if pull {
-			if f := e.armRoutingFault(step); f != nil {
-				if e.wd != nil {
-					e.wd.endStep()
-				}
-				resume, err := e.recoverFrom(f, step)
-				if err != nil {
-					return err
-				}
-				step = resume
-				continue
-			}
-			var pullT0 int64
-			if e.obsOn {
-				pullT0 = e.nowNS()
-			}
-			e.gatherMessages(step)
-			if e.obsOn {
-				e.emit(obs.Span{Superstep: step, Worker: -1, Phase: obs.PhasePull,
-					Dir: "pull", StartNS: pullT0, DurNS: e.nowNS() - pullT0})
-			}
-			for _, x := range e.executors {
-				if x.err != nil {
-					return x.err
-				}
-			}
-			pullCrashed, err := e.collectRoutingFaults()
-			if err != nil {
-				return err
-			}
-			if pullCrashed != nil {
-				if e.wd != nil {
-					e.wd.endStep()
-				}
-				resume, err := e.recoverFrom(pullCrashed, step)
-				if err != nil {
-					return err
-				}
-				step = resume
-				continue
-			}
 		}
 		var barrierT0 int64
 		if e.obsOn {
@@ -1763,60 +1610,48 @@ func (e *engine) run(ctx context.Context) error {
 				StartNS: barrierT0, DurNS: e.nowNS() - barrierT0})
 		}
 
-		var anyMsgs bool
-		if pull {
-			// The gather already routed (by construction); the inbox totals
-			// it published are the push-path anyMsgs.
-			for _, wk := range e.workers {
-				if wk.inTotal > 0 {
-					anyMsgs = true
-					break
-				}
+		if f := e.armRoutingFault(step); f != nil {
+			if e.wd != nil {
+				e.wd.endStep()
 			}
-		} else {
-			if f := e.armRoutingFault(step); f != nil {
-				if e.wd != nil {
-					e.wd.endStep()
-				}
-				resume, err := e.recoverFrom(f, step)
-				if err != nil {
-					return err
-				}
-				step = resume
-				continue
-			}
-			var routeT0 int64
-			if e.obsOn {
-				routeT0 = e.nowNS()
-			}
-			anyMsgs = e.routeMessages()
-			if e.obsOn {
-				e.emit(obs.Span{Superstep: step, Worker: -1, Phase: obs.PhaseRouting,
-					StartNS: routeT0, DurNS: e.nowNS() - routeT0})
-			}
-			for _, x := range e.executors {
-				if x.err != nil {
-					return x.err
-				}
-			}
-			// Faults raised inside the routing sub-phases (fail-stop: the
-			// sub-phase finished its work, the failure surfaces at the
-			// barrier).
-			routeCrashed, err := e.collectRoutingFaults()
+			resume, err := e.recoverFrom(f, step)
 			if err != nil {
 				return err
 			}
-			if routeCrashed != nil {
-				if e.wd != nil {
-					e.wd.endStep()
-				}
-				resume, err := e.recoverFrom(routeCrashed, step)
-				if err != nil {
-					return err
-				}
-				step = resume
-				continue
+			step = resume
+			continue
+		}
+		var routeT0 int64
+		if e.obsOn {
+			routeT0 = e.nowNS()
+		}
+		anyMsgs := e.routeMessages()
+		if e.obsOn {
+			e.emit(obs.Span{Superstep: step, Worker: -1, Phase: obs.PhaseRouting,
+				StartNS: routeT0, DurNS: e.nowNS() - routeT0})
+		}
+		for _, x := range e.executors {
+			if x.err != nil {
+				return x.err
 			}
+		}
+		// Faults raised inside the routing sub-phases (fail-stop: the
+		// sub-phase finished its work, the failure surfaces at the
+		// barrier).
+		routeCrashed, err := e.collectRoutingFaults()
+		if err != nil {
+			return err
+		}
+		if routeCrashed != nil {
+			if e.wd != nil {
+				e.wd.endStep()
+			}
+			resume, err := e.recoverFrom(routeCrashed, step)
+			if err != nil {
+				return err
+			}
+			step = resume
+			continue
 		}
 		// The superstep's work is done: disarm the watchdog, then govern
 		// point 2 (outboxes and the freshly routed inboxes coexist), then
@@ -2238,7 +2073,6 @@ func (wk *worker) routePrefix() {
 			if wk.inOff[li+1] > wk.inOff[li] && !wk.active[li] {
 				wk.active[li] = true
 				ck.numActive++
-				ck.frontEdges += int64(wk.e.g.OutDegree(wk.ids[li]))
 			}
 		}
 	}
