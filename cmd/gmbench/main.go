@@ -8,11 +8,10 @@
 //	gmbench -ablation      optimization / combiner ablation table
 //	gmbench -activity      SSSP per-superstep active-vertex profile (§5.2)
 //	gmbench -recovery      checkpoint-overhead / crash-recovery table
-//	gmbench -scaling       worker-count scaling sweep (Figure-7-style):
-//	                       interleaved eager/barrier routing A/B on the
-//	                       Figure-6 graphs with a COST column; sized by
-//	                       -scaling-scale and -scaling-workers (not -scale)
-//	gmbench -schedab       scheduling A/B: static vs chunked vs stealing
+//	gmbench -scaling       worker-count scaling sweep (Figure-7-style)
+//	                       on the Figure-6 graphs with a COST column;
+//	                       sized by -scaling-scale and -scaling-workers
+//	                       (not -scale)
 //	gmbench -chaos         seeded chaos campaign: fault/stall/budget
 //	                       schedules with a bit-identity survival report
 //	gmbench -all           every mode above
@@ -25,10 +24,8 @@
 // from -seed; -chaos-schedules sets the matrix size (>= 9 covers every
 // fault phase).
 //
-// Scheduling knobs (every engine run except the -schedab configs, which
-// set their own): -chunk N forces the scheduler chunk size (0 = auto),
-// -sched steal|nosteal toggles deterministic work stealing, and
-// -part mod|degree selects the partitioner.
+// -chunk N forces the scheduler chunk size of every engine run
+// (0 = auto).
 //
 // Observability:
 //
@@ -57,7 +54,6 @@ import (
 
 	"gmpregel/internal/bench"
 	"gmpregel/internal/obs"
-	"gmpregel/internal/pregel"
 )
 
 // mode is one gmbench artifact generator. -all runs every entry of the
@@ -77,7 +73,6 @@ func main() {
 		activity = flag.Bool("activity", false, "measure the SSSP per-superstep active-vertex profile (§5.2)")
 		recovery = flag.Bool("recovery", false, "measure checkpoint overhead and crash-recovery latency")
 		scaling  = flag.Bool("scaling", false, "run the worker-count scaling sweep (Figure-7-style)")
-		schedab  = flag.Bool("schedab", false, "run the scheduling A/B (static vs chunked vs stealing, interleaved trials)")
 		chaosRun = flag.Bool("chaos", false, "run the seeded chaos campaign (faults, stalls, memory pressure) with a survival report")
 		all      = flag.Bool("all", false, "regenerate everything")
 		scale    = flag.Int("scale", 2, "graph scale multiplier")
@@ -86,8 +81,6 @@ func main() {
 		seed     = flag.Int64("seed", 1, "random seed")
 
 		chunk = flag.Int("chunk", 0, "scheduler chunk size (0 = automatic)")
-		sched = flag.String("sched", "steal", "work stealing: steal or nosteal")
-		part  = flag.String("part", "mod", "partitioner: mod or degree")
 
 		scalingScale   = flag.Int("scaling-scale", 8, "scaling: generator scale for the sweep (independent of -scale; large enough that parallelism pays)")
 		scalingWorkers = flag.Int("scaling-workers", 8, "scaling: maximum worker count swept (1, 2, 4, ... up to this)")
@@ -106,28 +99,7 @@ func main() {
 	)
 	flag.Parse()
 
-	// Scheduling knobs apply to every engine run the harness performs
-	// (the -schedab configs override them per cell).
-	var noSteal bool
-	switch *sched {
-	case "steal":
-	case "nosteal":
-		noSteal = true
-	default:
-		fmt.Fprintf(os.Stderr, "gmbench: -sched must be steal or nosteal, got %q\n", *sched)
-		os.Exit(2)
-	}
-	var partKind pregel.PartitionKind
-	switch *part {
-	case "mod":
-		partKind = pregel.PartitionMod
-	case "degree":
-		partKind = pregel.PartitionDegree
-	default:
-		fmt.Fprintf(os.Stderr, "gmbench: -part must be mod or degree, got %q\n", *part)
-		os.Exit(2)
-	}
-	bench.SetSchedTuning(*chunk, noSteal, partKind)
+	bench.SetSchedTuning(*chunk)
 
 	rep := &bench.Report{Meta: bench.Meta{
 		Scale: *scale, Workers: *workers, Trials: *trials, Seed: *seed,
@@ -173,10 +145,6 @@ func main() {
 		}},
 		{"scaling", func() bool { return *scaling }, func(w io.Writer, rep *bench.Report) (err error) {
 			rep.Scaling, err = bench.ScalingSweep(w, *scalingScale, *scalingWorkers, *trials, *seed)
-			return
-		}},
-		{"schedab", func() bool { return *schedab }, func(w io.Writer, rep *bench.Report) (err error) {
-			rep.SchedAB, err = bench.SchedAB(w, *scale, *workers, *trials, *seed)
 			return
 		}},
 		{"chaos", func() bool { return *chaosRun }, func(w io.Writer, rep *bench.Report) (err error) {

@@ -53,18 +53,10 @@ type Bindings = machine.Bindings
 type Result = machine.Result
 
 // Config controls an engine run (worker count, superstep limit, seed,
-// and scheduling: ChunkSize, NoSteal, Partitioner).
+// and the scheduling chunk size). The engine hash-partitions vertices
+// (id mod NumWorkers), work-steals vertex chunks across its executors,
+// and routes messages after each superstep barrier.
 type Config = pregel.Config
-
-// PartitionKind selects how vertices map to workers (Config.Partitioner).
-type PartitionKind = pregel.PartitionKind
-
-// Partitioners: round-robin by vertex ID (the GPS default), or
-// contiguous ranges balanced by edge mass for skewed graphs.
-const (
-	PartitionMod    = pregel.PartitionMod
-	PartitionDegree = pregel.PartitionDegree
-)
 
 // Stats summarizes a run: supersteps, messages, network/control bytes,
 // and checkpoint/recovery accounting.

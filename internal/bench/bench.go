@@ -28,32 +28,22 @@ var observer obs.Observer
 // (or none).
 func SetObserver(o obs.Observer) { observer = o }
 
-// tuning carries the scheduling knobs (-sched/-chunk/-part) into every
-// engine run the harness performs. Zero values are the engine defaults:
-// automatic chunk size, stealing on, mod partitioning.
-var tuning struct {
-	chunkSize int
-	noSteal   bool
-	part      pregel.PartitionKind
-}
+// chunkSize carries the -chunk knob into every engine run the harness
+// performs; 0 is the engine's automatic chunk size.
+var chunkSize int
 
-// SetSchedTuning applies scheduling knobs to every subsequent engine run
-// the harness performs. The scheduling A/B mode overrides these per
-// config; every other mode inherits them.
-func SetSchedTuning(chunkSize int, noSteal bool, part pregel.PartitionKind) {
-	tuning.chunkSize, tuning.noSteal, tuning.part = chunkSize, noSteal, part
-}
+// SetSchedTuning sets the scheduling chunk size of every subsequent
+// engine run the harness performs.
+func SetSchedTuning(size int) { chunkSize = size }
 
 // engineConfig is the single place harness code builds a pregel.Config,
-// so the observer and scheduling knobs reach every run.
+// so the observer and chunk size reach every run.
 func engineConfig(workers int, seed int64) pregel.Config {
 	return pregel.Config{
-		NumWorkers:  workers,
-		Seed:        seed,
-		Observer:    observer,
-		ChunkSize:   tuning.chunkSize,
-		NoSteal:     tuning.noSteal,
-		Partitioner: tuning.part,
+		NumWorkers: workers,
+		Seed:       seed,
+		Observer:   observer,
+		ChunkSize:  chunkSize,
 	}
 }
 

@@ -36,7 +36,6 @@ type Report struct {
 	Activity *ActivityProfile `json:"activity,omitempty"`
 	Recovery []RecoveryRow    `json:"recovery,omitempty"`
 	Scaling  *ScalingReport   `json:"scaling,omitempty"`
-	SchedAB  []SchedABRow     `json:"schedab,omitempty"`
 	Skew     *obs.SkewReport  `json:"skew,omitempty"`
 	Chaos    *chaos.Report    `json:"chaos,omitempty"`
 }

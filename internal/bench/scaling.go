@@ -3,31 +3,21 @@ package bench
 import (
 	"fmt"
 	"io"
-	"reflect"
 	"runtime"
 	"time"
 
 	"gmpregel/internal/obs"
-	"gmpregel/internal/pregel"
 )
 
-// ScalingRow is one (graph, worker-count) cell of the scaling sweep.
-// Each cell is an interleaved A/B between the pipelined eager router
-// (the default) and the legacy barrier router: trials alternate
-// eager/barrier so ambient noise lands on both arms evenly, the minimum
-// of each arm is reported, and the two arms' Stats are required to be
-// bit-identical (the sweep hard-errors otherwise — routing mode is a
-// performance knob, never a semantic one).
+// ScalingRow is one (graph, worker-count) cell of the scaling sweep:
+// the minimum wall time over the cell's trials.
 //
-// Speedup columns are relative to the same graph's one-worker run of
-// the same arm, so each mode's scaling curve is self-normalized;
-// PipelineGain is barrier/eager elapsed at the same worker count (> 1
-// means the overlap paid). CostWorkers is the COST metric ("Scalability!
-// But at what COST?"): the smallest swept worker count whose eager run
-// beats the one-worker eager run, 0 if none did — repeated on every row
-// of the graph so each row is self-describing.
+// Speedup is relative to the same graph's one-worker run. CostWorkers
+// is the COST metric ("Scalability! But at what COST?"): the smallest
+// swept worker count whose run beats the one-worker run, 0 if none did
+// — repeated on every row of the graph so each row is self-describing.
 //
-// Skew columns come from the eager arm's trace: vertex-compute skew is
+// Skew columns come from the cell's trace: vertex-compute skew is
 // partition imbalance, chunk skew is executor-pool imbalance after
 // stealing, owner skew re-bills stolen chunks to the owning worker
 // (max/mean, meaningful even when stealing moved everything).
@@ -36,12 +26,8 @@ type ScalingRow struct {
 	Algorithm      string        `json:"algorithm"`
 	Workers        int           `json:"workers"`
 	Elapsed        time.Duration `json:"elapsed_ns"`
-	BarrierElapsed time.Duration `json:"barrier_elapsed_ns"`
 	NsPerSuperstep int64         `json:"ns_per_superstep"`
 	Speedup        float64       `json:"speedup"`
-	BarrierSpeedup float64       `json:"barrier_speedup"`
-	PipelineGain   float64       `json:"pipeline_gain"`
-	StatsIdentical bool          `json:"stats_identical"`
 	CostWorkers    int           `json:"cost_workers"`
 	VertexSkew     float64       `json:"vertex_skew"`
 	ChunkSkew      float64       `json:"chunk_skew"`
@@ -87,10 +73,10 @@ func scalingPairs() [][2]string {
 	}
 }
 
-// ScalingSweep runs the interleaved eager/barrier A/B on every Figure-6
-// graph at worker counts 1, 2, 4, … up to maxWorkers. Each eager run is
-// traced into its own ring (alongside any global observer) so the skew
-// columns are per-cell, not cumulative.
+// ScalingSweep runs every Figure-6 graph at worker counts 1, 2, 4, …
+// up to maxWorkers, keeping the minimum of trials runs per cell. Each
+// cell is traced into its own ring (alongside any global observer) so
+// the skew columns are per-cell, not cumulative.
 func ScalingSweep(w io.Writer, scale, maxWorkers, trials int, seed int64) (*ScalingReport, error) {
 	if trials < 1 {
 		trials = 1
@@ -102,11 +88,10 @@ func ScalingSweep(w io.Writer, scale, maxWorkers, trials int, seed int64) (*Scal
 		GoMaxProcs: runtime.GOMAXPROCS(0),
 	}
 	p := DefaultParams()
-	fmt.Fprintf(w, "Scaling sweep: eager vs barrier routing, scale %d, workers 1..%d, %d interleaved trials/arm (GOMAXPROCS=%d)\n",
+	fmt.Fprintf(w, "Scaling sweep: scale %d, workers 1..%d, min of %d trials (GOMAXPROCS=%d)\n",
 		scale, maxWorkers, trials, rep.GoMaxProcs)
-	fmt.Fprintf(w, "%-10s %7s %12s %12s %8s %8s %6s %12s %11s %11s %8s\n",
-		"graph", "workers", "eager", "barrier", "speedup", "b-speed", "gain",
-		"vertex-skew", "chunk-skew", "owner-skew", "stolen")
+	fmt.Fprintf(w, "%-10s %7s %12s %8s %12s %11s %11s %8s\n",
+		"graph", "workers", "elapsed", "speedup", "vertex-skew", "chunk-skew", "owner-skew", "stolen")
 	for _, pair := range scalingPairs() {
 		gname, algo := pair[0], pair[1]
 		spec, err := GraphByName(gname)
@@ -120,49 +105,29 @@ func ScalingSweep(w io.Writer, scale, maxWorkers, trials int, seed int64) (*Scal
 		}
 		in := MakeInputs(g, boys, seed+7)
 		first := len(rep.Rows)
-		var eagerBase, barrierBase time.Duration
+		var base time.Duration
 		for _, workers := range scalingWorkerCounts(maxWorkers) {
 			ring := obs.NewRing(1 << 16)
-			eagerCfg := engineConfig(workers, seed)
-			eagerCfg.Routing = pregel.RouteEager
-			eagerCfg.Observer = obs.Multi(eagerCfg.Observer, ring)
-			barrierCfg := engineConfig(workers, seed)
-			barrierCfg.Routing = pregel.RouteBarrier
-			row := ScalingRow{Graph: gname, Algorithm: algo, Workers: workers}
-			var eagerOut, barrierOut Outcome
+			cfg := engineConfig(workers, seed)
+			cfg.Observer = obs.Multi(cfg.Observer, ring)
+			var best Outcome
 			for t := 0; t < trials; t++ {
-				eo, err := RunManual(algo, g, in, p, eagerCfg, 1)
+				out, err := RunManual(algo, g, in, p, cfg, 1)
 				if err != nil {
-					return nil, fmt.Errorf("scaling %s W=%d eager: %v", gname, workers, err)
+					return nil, fmt.Errorf("scaling %s W=%d: %v", gname, workers, err)
 				}
-				bo, err := RunManual(algo, g, in, p, barrierCfg, 1)
-				if err != nil {
-					return nil, fmt.Errorf("scaling %s W=%d barrier: %v", gname, workers, err)
-				}
-				if !reflect.DeepEqual(eo.Stats, bo.Stats) {
-					return nil, fmt.Errorf("scaling %s W=%d: eager and barrier routing produced different Stats — routing must be semantics-free", gname, workers)
-				}
-				if t == 0 || eo.Elapsed < eagerOut.Elapsed {
-					eagerOut = eo
-				}
-				if t == 0 || bo.Elapsed < barrierOut.Elapsed {
-					barrierOut = bo
+				if t == 0 || out.Elapsed < best.Elapsed {
+					best = out
 				}
 			}
-			row.Elapsed = eagerOut.Elapsed
-			row.BarrierElapsed = barrierOut.Elapsed
-			row.NsPerSuperstep = eagerOut.NsPerSuperstep
-			row.StatsIdentical = true
+			row := ScalingRow{Graph: gname, Algorithm: algo, Workers: workers,
+				Elapsed: best.Elapsed, NsPerSuperstep: best.NsPerSuperstep}
 			if workers == 1 {
-				eagerBase, barrierBase = eagerOut.Elapsed, barrierOut.Elapsed
+				base = best.Elapsed
 			}
-			if eagerBase > 0 {
-				row.Speedup = float64(eagerBase) / float64(eagerOut.Elapsed)
+			if base > 0 {
+				row.Speedup = float64(base) / float64(best.Elapsed)
 			}
-			if barrierBase > 0 {
-				row.BarrierSpeedup = float64(barrierBase) / float64(barrierOut.Elapsed)
-			}
-			row.PipelineGain = float64(barrierOut.Elapsed) / float64(eagerOut.Elapsed)
 			sk := obs.Skew(ring.Spans())
 			if r, ok := sk.Row("vertex-compute"); ok {
 				row.VertexSkew = r.Skew
@@ -173,13 +138,11 @@ func ScalingSweep(w io.Writer, scale, maxWorkers, trials int, seed int64) (*Scal
 				row.StolenSpans = r.StolenSpans
 			}
 			rep.Rows = append(rep.Rows, row)
-			fmt.Fprintf(w, "%-10s %7d %12s %12s %8.2f %8.2f %6.2f %12.2f %11.2f %11.2f %8d\n",
-				gname, workers,
-				row.Elapsed.Round(time.Microsecond), row.BarrierElapsed.Round(time.Microsecond),
-				row.Speedup, row.BarrierSpeedup, row.PipelineGain,
+			fmt.Fprintf(w, "%-10s %7d %12s %8.2f %12.2f %11.2f %11.2f %8d\n",
+				gname, workers, row.Elapsed.Round(time.Microsecond), row.Speedup,
 				row.VertexSkew, row.ChunkSkew, row.OwnerSkew, row.StolenSpans)
 		}
-		// COST: the smallest worker count that beat one worker (eager arm).
+		// COST: the smallest worker count that beat one worker.
 		cost := 0
 		for _, r := range rep.Rows[first:] {
 			if r.Workers > 1 && r.Speedup > 1 {
@@ -197,18 +160,4 @@ func ScalingSweep(w io.Writer, scale, maxWorkers, trials int, seed int64) (*Scal
 		}
 	}
 	return rep, nil
-}
-
-// schedABConfigs returns the scheduling configurations the A/B mode
-// interleaves. "baseline-static" reproduces the pre-skew-aware schedule
-// (one chunk per worker, no stealing); the chunked configs isolate the
-// chunk-queue and stealing contributions; the degree config adds the
-// edge-mass-balanced partitioner.
-func schedABConfigs() []SchedABConfig {
-	return []SchedABConfig{
-		{Name: "baseline-static", ChunkSize: 1 << 30, NoSteal: true, Part: pregel.PartitionMod},
-		{Name: "chunked-nosteal", ChunkSize: 0, NoSteal: true, Part: pregel.PartitionMod},
-		{Name: "chunked-steal", ChunkSize: 0, NoSteal: false, Part: pregel.PartitionMod},
-		{Name: "chunked-steal-degree", ChunkSize: 0, NoSteal: false, Part: pregel.PartitionDegree},
-	}
 }

@@ -18,6 +18,7 @@ import (
 
 	"gmpregel/internal/gm/ast"
 	"gmpregel/internal/ir"
+	"gmpregel/internal/pregel"
 )
 
 // ScalarDecl declares a master scalar (a "global variable" of the
@@ -159,10 +160,17 @@ func (p *Program) NumVertexStates() int {
 	return n
 }
 
-// Validate checks CFG and slot invariants, returning the first violation.
+// Validate checks CFG, slot and context invariants, returning the first
+// violation. Every slot an expression or statement names must be
+// declared, and every statement and reference must be legal where it
+// appears (master block, vertex body, or receive loop), so a validated
+// program compiles without indexing outside its declarations.
 func (p *Program) Validate() error {
 	if p.Entry < 0 || p.Entry >= len(p.Nodes) {
 		return fmt.Errorf("machine: entry %d out of range", p.Entry)
+	}
+	if err := p.validateDecls(); err != nil {
+		return fmt.Errorf("machine: %v", err)
 	}
 	inRange := func(t int) bool { return t >= 0 && t < len(p.Nodes) }
 	for i, n := range p.Nodes {
@@ -185,9 +193,15 @@ func (p *Program) Validate() error {
 				if t.Cond == nil {
 					return fmt.Errorf("machine: node %d cond terminator without condition", i)
 				}
+				if err := p.validateExpr(t.Cond, exprCtx{msgType: -1}); err != nil {
+					return fmt.Errorf("machine: master block %d condition: %v", i, err)
+				}
 			case THalt:
 			default:
 				return fmt.Errorf("machine: node %d has unknown terminator %d", i, t.Kind)
+			}
+			if err := p.validateMasterStmts(n.Master.Stmts); err != nil {
+				return fmt.Errorf("machine: master block %d: %v", i, err)
 			}
 		case n.Vertex != nil:
 			if !inRange(n.Vertex.Next) {
@@ -198,7 +212,12 @@ func (p *Program) Validate() error {
 					return fmt.Errorf("machine: vertex state %d reads bad scalar %d", i, s)
 				}
 			}
-			if err := p.validateStmts(n.Vertex.Body, n.Vertex); err != nil {
+			for _, k := range n.Vertex.Locals {
+				if !validKind(k) {
+					return fmt.Errorf("machine: vertex state %d has a local of unknown kind %d", i, k)
+				}
+			}
+			if err := p.validateStmts(n.Vertex.Body, exprCtx{vs: n.Vertex, msgType: -1}); err != nil {
 				return fmt.Errorf("machine: vertex state %d: %v", i, err)
 			}
 		}
@@ -206,52 +225,205 @@ func (p *Program) Validate() error {
 	return nil
 }
 
-func (p *Program) validateStmts(ss []ir.Stmt, vs *VertexState) error {
+func validKind(k ir.Kind) bool { return k <= ir.KNode }
+
+// checkSlot reports a reference to slot i of a table with n entries
+// that has no such slot.
+func checkSlot(what string, i, n int) error {
+	if i < 0 || i >= n {
+		return fmt.Errorf("bad %s slot %d", what, i)
+	}
+	return nil
+}
+
+// firstErr returns the first non-nil error.
+func firstErr(errs ...error) error {
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// validateDecls checks the kinds of every declaration and that each
+// message type fits a pregel.Msg.
+func (p *Program) validateDecls() error {
+	var kinds []ir.Kind
+	for _, d := range p.Scalars {
+		kinds = append(kinds, d.Kind)
+	}
+	for _, d := range p.Props {
+		kinds = append(kinds, d.Kind)
+	}
+	for _, d := range p.Aggs {
+		kinds = append(kinds, d.Kind)
+	}
+	for i, m := range p.Msgs {
+		if len(m.Fields) > pregel.MaxPayloadSlots {
+			return fmt.Errorf("message type %d has %d fields, at most %d fit a message", i, len(m.Fields), pregel.MaxPayloadSlots)
+		}
+		kinds = append(kinds, m.Fields...)
+	}
+	if p.HasReturn {
+		kinds = append(kinds, p.ReturnKind)
+	}
+	for _, k := range kinds {
+		if !validKind(k) {
+			return fmt.Errorf("declaration of unknown kind %d", k)
+		}
+	}
+	return nil
+}
+
+// exprCtx is where code runs: master code (vs == nil) or the body of
+// vertex state vs, inside a receive loop over message type msgType (-1
+// outside one).
+type exprCtx struct {
+	vs      *VertexState
+	msgType int
+}
+
+func (p *Program) validateMasterStmts(ss []ir.Stmt) error {
+	master := exprCtx{msgType: -1}
 	for _, s := range ss {
+		var err error
+		switch s := s.(type) {
+		case ir.SetScalar:
+			err = firstErr(checkSlot("scalar", s.Slot, len(p.Scalars)), p.validateExpr(s.RHS, master))
+		case ir.FoldAgg:
+			err = firstErr(checkSlot("scalar", s.Scalar, len(p.Scalars)), checkSlot("agg", s.Agg, len(p.Aggs)))
+		case ir.If:
+			err = firstErr(p.validateExpr(s.Cond, master), p.validateMasterStmts(s.Then), p.validateMasterStmts(s.Else))
+		case ir.Return:
+			if s.Value != nil {
+				err = p.validateExpr(s.Value, master)
+			}
+		default:
+			err = fmt.Errorf("statement %T is not valid in master context", s)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (p *Program) validateStmts(ss []ir.Stmt, c exprCtx) error {
+	for _, s := range ss {
+		var err error
 		switch s := s.(type) {
 		case ir.SetProp:
-			if s.Slot < 0 || s.Slot >= len(p.Props) {
-				return fmt.Errorf("bad prop slot %d", s.Slot)
-			}
+			err = firstErr(checkSlot("prop", s.Slot, len(p.Props)), p.validateExpr(s.RHS, c))
 		case ir.SetLocal:
-			if s.Slot < 0 || s.Slot >= len(vs.Locals) {
-				return fmt.Errorf("bad local slot %d", s.Slot)
-			}
+			err = firstErr(checkSlot("local", s.Slot, len(c.vs.Locals)), p.validateExpr(s.RHS, c))
 		case ir.ContribAgg:
-			if s.Agg < 0 || s.Agg >= len(p.Aggs) {
-				return fmt.Errorf("bad agg slot %d", s.Agg)
-			}
+			err = firstErr(checkSlot("agg", s.Agg, len(p.Aggs)), p.validateExpr(s.RHS, c))
 		case ir.SendToNbrs:
-			if s.MsgType < 0 || s.MsgType >= len(p.Msgs) {
-				return fmt.Errorf("bad message type %d", s.MsgType)
+			err = p.validateSend(s.MsgType, s.Payload, c)
+			if err == nil && s.EdgeCond != nil {
+				err = p.validateExpr(s.EdgeCond, c)
 			}
 		case ir.SendTo:
-			if s.MsgType < 0 || s.MsgType >= len(p.Msgs) {
-				return fmt.Errorf("bad message type %d", s.MsgType)
-			}
+			err = firstErr(p.validateSend(s.MsgType, s.Payload, c), p.validateExpr(s.Target, c))
 		case ir.SendToInNbrs:
-			if s.MsgType < 0 || s.MsgType >= len(p.Msgs) {
-				return fmt.Errorf("bad message type %d", s.MsgType)
-			}
+			err = p.validateSend(s.MsgType, s.Payload, c)
 		case ir.CollectInNbrs:
-			if s.MsgType < 0 || s.MsgType >= len(p.Msgs) {
-				return fmt.Errorf("bad message type %d", s.MsgType)
-			}
+			err = checkSlot("message type", s.MsgType, len(p.Msgs))
 		case ir.ForMsgs:
-			if s.MsgType < 0 || s.MsgType >= len(p.Msgs) {
-				return fmt.Errorf("bad message type %d", s.MsgType)
-			}
-			if err := p.validateStmts(s.Body, vs); err != nil {
-				return err
+			err = checkSlot("message type", s.MsgType, len(p.Msgs))
+			if err == nil {
+				err = p.validateStmts(s.Body, exprCtx{vs: c.vs, msgType: s.MsgType})
 			}
 		case ir.If:
-			if err := p.validateStmts(s.Then, vs); err != nil {
-				return err
-			}
-			if err := p.validateStmts(s.Else, vs); err != nil {
-				return err
-			}
+			err = firstErr(p.validateExpr(s.Cond, c), p.validateStmts(s.Then, c), p.validateStmts(s.Else, c))
+		default:
+			err = fmt.Errorf("statement %T is not valid in vertex context", s)
 		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// validateSend checks a send's message type and that its payload fits
+// the type's declared fields.
+func (p *Program) validateSend(mt int, payload []ir.Expr, c exprCtx) error {
+	if err := checkSlot("message type", mt, len(p.Msgs)); err != nil {
+		return err
+	}
+	if n := len(p.Msgs[mt].Fields); len(payload) > n {
+		return fmt.Errorf("message type %d carries %d fields, payload has %d", mt, n, len(payload))
+	}
+	for _, e := range payload {
+		if err := p.validateExpr(e, c); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// validateExpr checks that e is complete, that every slot it names is
+// declared, and that every reference is legal in context c.
+func (p *Program) validateExpr(e ir.Expr, c exprCtx) error {
+	master := c.vs == nil
+	vertexOnly := func(what string) error {
+		if master {
+			return fmt.Errorf("%s read in master context", what)
+		}
+		return nil
+	}
+	switch e := e.(type) {
+	case nil:
+		return fmt.Errorf("missing expression")
+	case ir.Const:
+		if !validKind(e.V.K) {
+			return fmt.Errorf("constant of unknown kind %d", e.V.K)
+		}
+	case ir.ScalarRef:
+		return checkSlot("scalar", e.Slot, len(p.Scalars))
+	case ir.AggRef:
+		if !master {
+			return fmt.Errorf("aggregator %d read in vertex context", e.Slot)
+		}
+		return checkSlot("agg", e.Slot, len(p.Aggs))
+	case ir.LocalRef:
+		if err := vertexOnly("local"); err != nil {
+			return err
+		}
+		return checkSlot("local", e.Slot, len(c.vs.Locals))
+	case ir.PropRef:
+		return firstErr(vertexOnly("property"), checkSlot("prop", e.Slot, len(p.Props)))
+	case ir.EdgePropRef:
+		return firstErr(vertexOnly("edge property"), checkSlot("edge prop", e.Slot, len(p.Props)))
+	case ir.CurNode:
+		return vertexOnly("current node")
+	case ir.MsgField:
+		limit := pregel.MaxPayloadSlots
+		if c.msgType >= 0 {
+			limit = len(p.Msgs[c.msgType].Fields)
+		}
+		if !validKind(e.K) {
+			return fmt.Errorf("message field %d has unknown kind %d", e.Idx, e.K)
+		}
+		return firstErr(vertexOnly("message field"), checkSlot("message field", e.Idx, limit))
+	case ir.Builtin:
+		switch e.Op {
+		case ir.BNumNodes, ir.BNumEdges, ir.BPickRandom:
+		case ir.BDegree, ir.BNodeId:
+			return vertexOnly("vertex builtin")
+		default:
+			return fmt.Errorf("unknown builtin %d", int(e.Op))
+		}
+	case ir.Binary:
+		return firstErr(p.validateExpr(e.L, c), p.validateExpr(e.R, c))
+	case ir.Unary:
+		return p.validateExpr(e.X, c)
+	case ir.Ternary:
+		return firstErr(p.validateExpr(e.Cond, c), p.validateExpr(e.Then, c), p.validateExpr(e.Else, c))
+	default:
+		return fmt.Errorf("unknown expression %T", e)
 	}
 	return nil
 }

@@ -384,6 +384,9 @@ func decodeExprs(js []jsonExpr) ([]ir.Expr, error) {
 }
 
 func decodeExpr(j *jsonExpr) (ir.Expr, error) {
+	if j == nil {
+		return nil, fmt.Errorf("missing expression")
+	}
 	switch j.Kind {
 	case "const":
 		v := ir.Value{K: j.VK, I: j.I}

@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"bytes"
 	"testing"
 
 	"gmpregel/internal/graph"
@@ -68,6 +69,20 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 		[]byte(`{"name":"x","nodes":[{}]}`), // empty node
 		[]byte(`{"name":"x","nodes":[{"master":{"term":0,"then":9}}]}`), // bad target
 		[]byte(`{"name":"x","nodes":[{"vertex":{"next":0,"body":[{"k":"bogus"}]}}]}`),
+		// Incomplete expressions, undeclared slots, and references or
+		// statements illegal where they appear would otherwise panic in
+		// the decoder or later in Run.
+		[]byte(`{"nodes":[{"vertex":{"body":[{"k":"sendTo","payload":[{"k":"binary"}]}]}}]}`),
+		[]byte(`{"nodes":[{"vertex":{"body":[{"k":"if","cond":{"k":"binary","l":{"k":"prop"},"r":{"k":"scalar"}}}]}}]}`),
+		[]byte(`{"aggs":[{"name":"a"}],"nodes":[{"vertex":{"body":[{"k":"if","cond":{"k":"agg"}}]}}]}`),
+		[]byte(`{"props":[{"Name":"p"}],"nodes":[{"master":{"term":2,"stmts":[{"k":"return","rhs":{"k":"prop"}}]}}]}`),
+		[]byte(`{"nodes":[{"master":{"term":2,"stmts":[{"k":"setScalar","slot":3,"rhs":{"k":"const"}}]}}]}`),
+		[]byte(`{"props":[{"Name":"p"}],"nodes":[{"master":{"term":2,"stmts":[{"k":"setProp","rhs":{"k":"const"}}]}}]}`),
+		[]byte(`{"scalars":[{"Name":"s"}],"nodes":[{"vertex":{"body":[{"k":"setScalar","rhs":{"k":"const"}}]}}]}`),
+		[]byte(`{"msgs":[{"Name":"m","Fields":[0]}],"props":[{"Name":"p"}],"nodes":[{"vertex":{"body":[{"k":"forMsgs","body":[{"k":"setProp","rhs":{"k":"msgField","slot":1}}]}]}}]}`),
+		[]byte(`{"msgs":[{"Name":"m","Fields":[0]}],"nodes":[{"vertex":{"body":[{"k":"sendToNbrs","payload":[{"k":"const"},{"k":"const"}]}]}}]}`),
+		[]byte(`{"props":[{"Name":"p"}],"nodes":[{"vertex":{"body":[{"k":"setProp","rhs":{"k":"builtin","op":99}}]}}]}`),
+		[]byte(`{"scalars":[{"Name":"s","Kind":7}],"nodes":[{"master":{"term":2}}]}`),
 	}
 	for i, data := range cases {
 		if _, err := DecodeProgram(data); err == nil {
@@ -97,4 +112,32 @@ func TestSerializeCarriesAnalysisSummary(t *testing.T) {
 		len(p2.Analysis.Codes) != 2 || p2.Analysis.Codes[0] != "GM2002" {
 		t.Errorf("analysis summary drifted: %+v", p2.Analysis)
 	}
+}
+
+// FuzzDecodeProgram: decoding never panics; any program the decoder
+// accepts re-encodes, and that encoding decodes and re-encodes to the
+// same bytes; and running it on a small graph returns or fails but never
+// panics. MaxSupersteps bounds programs that never halt.
+func FuzzDecodeProgram(f *testing.F) {
+	g := graph.FromEdges(4, []graph.Edge{
+		{Src: 0, Dst: 1}, {Src: 1, Dst: 2}, {Src: 2, Dst: 0}, {Src: 2, Dst: 3}, {Src: 3, Dst: 3},
+	})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p, err := DecodeProgram(data)
+		if err != nil {
+			return
+		}
+		enc, err := EncodeProgram(p)
+		if err != nil {
+			t.Fatalf("accepted program does not re-encode: %v", err)
+		}
+		p2, err := DecodeProgram(enc)
+		if err != nil {
+			t.Fatalf("re-encoded program rejected: %v", err)
+		}
+		if enc2, err := EncodeProgram(p2); err != nil || !bytes.Equal(enc, enc2) {
+			t.Fatalf("encoding is not a fixed point (err %v)", err)
+		}
+		_, _ = Run(p, g, Bindings{}, pregel.Config{NumWorkers: 2, Seed: 1, MaxSupersteps: 32})
+	})
 }

@@ -26,10 +26,11 @@ const (
 	PhaseChunk
 	PhaseSpill
 	PhaseWatchdog
-	// PhaseRouteEager covers one source shard's eager outbox count,
-	// overlapped with the vertex phase (emitted at the barrier like all
-	// spans): Worker carries the source-shard index, Executor the pool
-	// goroutine that ran the count.
+	// PhaseRouteEager named the outbox count of the removed eager
+	// routing schedule, overlapped with the vertex phase. The engine no
+	// longer emits it (the count now runs inside PhaseRouting); it stays
+	// declared because span consumers outside this module still switch
+	// on it.
 	PhaseRouteEager
 	PhaseRun
 	// PhasePull named the gather phase of the removed pull execution

@@ -196,39 +196,23 @@ func (vc *VertexContext) SendToAllNbrs(m Msg) {
 		}
 		return
 	}
-	// Plain bulk path: hoist the per-message size and branch on the
-	// partitioner once.
+	// Plain bulk path: hoist the per-message size and the divisor.
 	ck := vc.ck
 	size := wk.baseSize
 	if int(m.Type) < len(wk.msgSize) {
 		size = wk.msgSize[m.Type]
 	}
 	self := wk.index
-	if wk.pblocks == nil {
-		div := wk.div
-		for _, d := range nbrs {
-			m.Dst = d
-			dw := int(div.mod(uint32(d)))
-			ck.boxes[dw] = append(ck.boxes[dw], m)
-			if dw != self {
-				ck.netMsgs++
-				ck.netBytes += size
-			} else {
-				ck.localBytes += size
-			}
-		}
-	} else {
-		pb, sh := wk.pblocks, wk.pshift
-		for _, d := range nbrs {
-			m.Dst = d
-			dw := int(pb[uint32(d)>>sh])
-			ck.boxes[dw] = append(ck.boxes[dw], m)
-			if dw != self {
-				ck.netMsgs++
-				ck.netBytes += size
-			} else {
-				ck.localBytes += size
-			}
+	div := wk.div
+	for _, d := range nbrs {
+		m.Dst = d
+		dw := int(div.mod(uint32(d)))
+		ck.boxes[dw] = append(ck.boxes[dw], m)
+		if dw != self {
+			ck.netMsgs++
+			ck.netBytes += size
+		} else {
+			ck.localBytes += size
 		}
 	}
 	ck.msgs += int64(len(nbrs))

@@ -151,32 +151,21 @@ func TestVertexOutputsInvariantAcrossWorkerCounts(t *testing.T) {
 }
 
 // The tentpole determinism criterion: for a fixed worker count, Stats
-// and outputs are bit-identical across chunk sizes {1, 16, 64} and
-// stealing on/off — chunked execution and work stealing are pure
-// scheduling changes. (The jobs here use int and float-min/max
+// and outputs are bit-identical across chunk sizes {1, 16, 64} —
+// chunked execution and work stealing are pure scheduling changes. (The jobs here use int and float-min/max
 // aggregators; float AggSum is the one reduction whose bits may vary
 // with chunk geometry, documented in docs/ENGINE.md.)
 func TestSchedulingDeterminism(t *testing.T) {
 	const n, steps = 53, 6
 	g := gen.TwitterLike(n, 5, 13)
-	type sched struct {
-		chunk   int
-		noSteal bool
-	}
-	grid := []sched{
-		{0, false}, {0, true},
-		{1, false}, {1, true},
-		{16, false}, {16, true},
-		{64, false}, {64, true},
-	}
+	chunks := []int{0, 1, 16, 64}
 	var labelRef []int64 // across worker counts too
 	for _, w := range workerCounts() {
 		var refStats *Stats
 		var refObs [][3]int64
 		var refLabels []int64
-		for _, s := range grid {
-			cfg := Config{NumWorkers: w, Seed: 21, TraceSteps: true,
-				ChunkSize: s.chunk, NoSteal: s.noSteal}
+		for _, chunk := range chunks {
+			cfg := Config{NumWorkers: w, Seed: 21, TraceSteps: true, ChunkSize: chunk}
 			j := &aggDetJob{steps: steps}
 			st, err := Run(g, j, cfg)
 			if err != nil {
@@ -189,16 +178,16 @@ func TestSchedulingDeterminism(t *testing.T) {
 				continue
 			}
 			if !reflect.DeepEqual(st, *refStats) {
-				t.Errorf("W=%d chunk=%d nosteal=%v: Stats differ from default schedule:\n%+v\n%+v",
-					w, s.chunk, s.noSteal, st, *refStats)
+				t.Errorf("W=%d chunk=%d: Stats differ from default schedule:\n%+v\n%+v",
+					w, chunk, st, *refStats)
 			}
 			if !reflect.DeepEqual(j.Observed, refObs) {
-				t.Errorf("W=%d chunk=%d nosteal=%v: aggregator sequences differ from default schedule",
-					w, s.chunk, s.noSteal)
+				t.Errorf("W=%d chunk=%d: aggregator sequences differ from default schedule",
+					w, chunk)
 			}
 			if !reflect.DeepEqual(labels, refLabels) {
-				t.Errorf("W=%d chunk=%d nosteal=%v: min-label outputs differ from default schedule",
-					w, s.chunk, s.noSteal)
+				t.Errorf("W=%d chunk=%d: min-label outputs differ from default schedule",
+					w, chunk)
 			}
 		}
 		if labelRef == nil {
@@ -209,65 +198,31 @@ func TestSchedulingDeterminism(t *testing.T) {
 	}
 }
 
-// The degree-aware partitioner changes vertex placement, not semantics:
-// outputs and the partition-invariant counters match mod partitioning
-// for every worker count, and a degree-partitioned run is itself
-// bit-reproducible.
-func TestDegreePartitionerDeterminism(t *testing.T) {
-	const n = 80
-	g := gen.TwitterLike(n, 5, 23)
-	for _, w := range workerCounts() {
-		mod := Config{NumWorkers: w, Seed: 8}
-		deg := Config{NumWorkers: w, Seed: 8, Partitioner: PartitionDegree}
-		mLabels, mSt := runMinLabel(t, g, n, mod)
-		dLabels, dSt := runMinLabel(t, g, n, deg)
-		dLabels2, dSt2 := runMinLabel(t, g, n, deg)
-		if !reflect.DeepEqual(dLabels, dLabels2) || !reflect.DeepEqual(dSt, dSt2) {
-			t.Errorf("W=%d: degree-partitioned run not reproducible", w)
-		}
-		if !reflect.DeepEqual(mLabels, dLabels) {
-			t.Errorf("W=%d: degree-partitioned outputs differ from mod", w)
-		}
-		// Placement-dependent counters (network vs local bytes) may differ;
-		// the semantic ones must not.
-		if mSt.Supersteps != dSt.Supersteps || mSt.MessagesSent != dSt.MessagesSent ||
-			mSt.VertexCalls != dSt.VertexCalls || mSt.ControlBytes != dSt.ControlBytes {
-			t.Errorf("W=%d: semantic counters differ under degree partitioning:\nmod:    %+v\ndegree: %+v",
-				w, mSt, dSt)
-		}
-		if mSt.NetworkBytes+mSt.LocalBytes != dSt.NetworkBytes+dSt.LocalBytes {
-			t.Errorf("W=%d: total message bytes differ under degree partitioning", w)
-		}
-	}
-}
-
 // Crash-recovery replay stays bit-identical under the chunked, stealing
-// scheduler (including with degree partitioning): the mid-phase crash
-// leaves partially-executed chunks behind, and rollback must fully
-// rebuild chunk state from the checkpoint.
+// scheduler: the mid-phase crash leaves partially-executed chunks
+// behind, and rollback must fully rebuild chunk state from the
+// checkpoint.
 func TestFaultRecoveryBitIdenticalChunked(t *testing.T) {
 	const n = 60
 	g := gen.TwitterLike(n, 4, 11)
-	for _, part := range []PartitionKind{PartitionMod, PartitionDegree} {
-		base := Config{NumWorkers: 4, Seed: 3, TraceSteps: true, ChunkSize: 16, Partitioner: part}
-		labels, st := runMinLabel(t, g, n, base)
+	base := Config{NumWorkers: 4, Seed: 3, TraceSteps: true, ChunkSize: 16}
+	labels, st := runMinLabel(t, g, n, base)
 
-		faulty := base
-		faulty.CheckpointEvery = 3
-		faulty.Faults = FaultPlan{
-			{Superstep: 2, Worker: 1},
-			{Superstep: 4, Worker: 3},
-		}
-		fLabels, fst := runMinLabel(t, g, n, faulty)
-		if !reflect.DeepEqual(labels, fLabels) {
-			t.Errorf("part=%d: fault-injected labels differ from fault-free chunked run", part)
-		}
-		if a, b := statsModuloRecovery(st), statsModuloRecovery(fst); !reflect.DeepEqual(a, b) {
-			t.Errorf("part=%d: fault-injected stats differ:\nfault-free: %+v\nfaulty:     %+v", part, a, b)
-		}
-		if fst.Recoveries != 2 {
-			t.Errorf("part=%d: Recoveries = %d, want 2", part, fst.Recoveries)
-		}
+	faulty := base
+	faulty.CheckpointEvery = 3
+	faulty.Faults = FaultPlan{
+		{Superstep: 2, Worker: 1},
+		{Superstep: 4, Worker: 3},
+	}
+	fLabels, fst := runMinLabel(t, g, n, faulty)
+	if !reflect.DeepEqual(labels, fLabels) {
+		t.Error("fault-injected labels differ from fault-free chunked run")
+	}
+	if a, b := statsModuloRecovery(st), statsModuloRecovery(fst); !reflect.DeepEqual(a, b) {
+		t.Errorf("fault-injected stats differ:\nfault-free: %+v\nfaulty:     %+v", a, b)
+	}
+	if fst.Recoveries != 2 {
+		t.Errorf("Recoveries = %d, want 2", fst.Recoveries)
 	}
 }
 
@@ -342,8 +297,10 @@ func seqBFSLevels(g *graph.Directed, root graph.NodeID) []int64 {
 // direction on a swelling-and-collapsing BFS frontier: every superstep
 // takes the push path (no pull-phase span is ever emitted), levels
 // match a sequential BFS, and Stats (including the per-step trace) are
-// bit-identical to the default schedule's for the same worker count and
-// partitioner, across chunk sizes and stealing.
+// bit-identical to the default schedule's for the same worker count,
+// across chunk sizes. Subtest names keep their steal/partitioner
+// suffixes so results stay comparable with earlier runs: every run
+// steals and uses mod partitioning (part0).
 func TestDirectionStatsBitIdentity(t *testing.T) {
 	g := gen.TwitterLike(300, 6, 1)
 	want := seqBFSLevels(g, 0)
@@ -368,27 +325,22 @@ func TestDirectionStatsBitIdentity(t *testing.T) {
 	}
 	for _, workers := range []int{1, 2, 7} {
 		for _, chunk := range []int{1, 64} {
-			for _, noSteal := range []bool{false, true} {
-				for _, part := range []PartitionKind{PartitionMod, PartitionDegree} {
-					base := Config{NumWorkers: workers, Seed: 9, TraceSteps: true, Partitioner: part}
-					name := fmt.Sprintf("w%d-c%d-steal%v-part%d", workers, chunk, !noSteal, part)
-					t.Run(name, func(t *testing.T) {
-						refLvl, refSt := run(t, base)
-						cfg := base
-						cfg.ChunkSize, cfg.NoSteal = chunk, noSteal
-						lvl, st := run(t, cfg)
-						if !reflect.DeepEqual(want, lvl) {
-							t.Error("levels differ from sequential BFS")
-						}
-						if !reflect.DeepEqual(refLvl, lvl) {
-							t.Error("levels differ from default schedule")
-						}
-						if !reflect.DeepEqual(refSt, st) {
-							t.Errorf("stats differ from default schedule:\ndefault: %+v\ngot:     %+v", refSt, st)
-						}
-					})
+			base := Config{NumWorkers: workers, Seed: 9, TraceSteps: true}
+			t.Run(fmt.Sprintf("w%d-c%d-stealtrue-part0", workers, chunk), func(t *testing.T) {
+				refLvl, refSt := run(t, base)
+				cfg := base
+				cfg.ChunkSize = chunk
+				lvl, st := run(t, cfg)
+				if !reflect.DeepEqual(want, lvl) {
+					t.Error("levels differ from sequential BFS")
 				}
-			}
+				if !reflect.DeepEqual(refLvl, lvl) {
+					t.Error("levels differ from default schedule")
+				}
+				if !reflect.DeepEqual(refSt, st) {
+					t.Errorf("stats differ from default schedule:\ndefault: %+v\ngot:     %+v", refSt, st)
+				}
+			})
 		}
 	}
 }

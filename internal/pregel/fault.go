@@ -18,7 +18,7 @@ type FaultPhase uint8
 //     scheduling chunk, leaving earlier chunks fully executed.
 //   - FaultSteal crashes the worker the moment one of its chunks is
 //     executed by a stealing executor (falling back to a phase-end crash
-//     when nothing was stolen, e.g. under NoSteal or NumWorkers 1).
+//     when nothing was stolen, e.g. with NumWorkers 1).
 //   - FaultFold crashes the worker midway through its combiner fold
 //     replay, with outboxes partially folded (phase-end crash for jobs
 //     that never fold).

@@ -108,6 +108,55 @@ func TestRoutingCrashRecovers(t *testing.T) {
 	}
 }
 
+// The routing crash matrix: a worker failing inside any routing
+// sub-phase (count, prefix, place) or at the routing barrier rolls back
+// and replays to bit-identical outputs and Stats, including when the
+// checkpoint it would roll back to was torn.
+func TestRoutingCrashRecovery(t *testing.T) {
+	const n = 50
+	g := gen.TwitterLike(n, 4, 9)
+	base := Config{NumWorkers: 4, Seed: 7, TraceSteps: true}
+	labels, st := runMinLabel(t, g, n, base)
+
+	for _, phase := range []FaultPhase{FaultRouteCount, FaultRoutePrefix, FaultRoutePlace, FaultRouting} {
+		t.Run(phase.String(), func(t *testing.T) {
+			faulty := base
+			faulty.CheckpointEvery = 3
+			faulty.Faults = FaultPlan{{Superstep: 4, Worker: 2, Phase: phase}}
+			fLabels, fst := runMinLabel(t, g, n, faulty)
+			if !reflect.DeepEqual(labels, fLabels) {
+				t.Errorf("labels differ after %s crash", phase)
+			}
+			if fst.Recoveries != 1 {
+				t.Errorf("Recoveries = %d, want 1", fst.Recoveries)
+			}
+			if a, b := statsModuloRecovery(st), statsModuloRecovery(fst); !reflect.DeepEqual(a, b) {
+				t.Errorf("stats (incl. per-step trace) differ after %s crash:\nclean:  %+v\nfaulty: %+v",
+					phase, a, b)
+			}
+		})
+	}
+
+	// The same crash while a checkpoint is also being torn: recovery must
+	// fall back past the corrupt snapshot and still converge identically.
+	faulty := base
+	faulty.CheckpointEvery = 2
+	faulty.Faults = FaultPlan{
+		{Superstep: 4, Worker: 1, Phase: FaultCheckpoint},
+		{Superstep: 5, Worker: 2, Phase: FaultRoutePrefix},
+	}
+	fLabels, fst := runMinLabel(t, g, n, faulty)
+	if !reflect.DeepEqual(labels, fLabels) {
+		t.Error("labels differ after torn-checkpoint + routing crash")
+	}
+	if a, b := statsModuloRecovery(st), statsModuloRecovery(fst); !reflect.DeepEqual(a, b) {
+		t.Errorf("stats differ after torn-checkpoint + routing crash:\n%+v\n%+v", a, b)
+	}
+	if fst.Recoveries == 0 {
+		t.Error("no recovery recorded")
+	}
+}
+
 func TestRecoveryBudgetExhaustedFailsCleanly(t *testing.T) {
 	const n = 20
 	g := gen.Ring(n)

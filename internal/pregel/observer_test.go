@@ -161,18 +161,6 @@ func TestObserverChunkSpans(t *testing.T) {
 	if row.Spans != len(chunkSpans) || row.Workers < 1 || row.Workers > workers {
 		t.Errorf("chunk skew row %+v inconsistent with %d spans", row, len(chunkSpans))
 	}
-	// With NoSteal every chunk must be run by its owner.
-	ring2 := obs.NewRing(1 << 16)
-	j2 := &minLabelJob{label: make([]int64, n)}
-	if _, err := Run(g, j2, Config{NumWorkers: workers, Seed: 3, ChunkSize: chunkSize,
-		NoSteal: true, Observer: ring2}); err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range ring2.Spans() {
-		if s.Phase == obs.PhaseChunk && (s.Stolen || s.Executor != s.Worker) {
-			t.Fatalf("NoSteal run emitted stolen chunk span: %+v", s)
-		}
-	}
 }
 
 // A crash-and-recover run emits recovery spans and keeps the rolled-back

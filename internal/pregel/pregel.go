@@ -8,10 +8,9 @@
 // superstep, a global-objects map for master→vertex broadcast, reduction
 // aggregators for vertex→master communication, and voteToHalt().
 //
-// Vertices are partitioned across W workers — hash partitioning
-// (id mod W) by default, or degree-aware contiguous ranges with
-// Config.Partitioner — and executed by W persistent executor goroutines,
-// spawned once per run and parked on a reusable barrier between phases.
+// Vertices are hash-partitioned across W workers (id mod W) and
+// executed by W persistent executor goroutines, spawned once per run
+// and parked on a reusable barrier between phases.
 // Within a superstep each worker's vertex-compute and routing work is
 // split into fixed-size chunks pulled from shared queues; an executor
 // that drains its own worker's chunks deterministically steals remaining
@@ -177,23 +176,6 @@ type Job interface {
 	Schema() Schema
 }
 
-// RoutingMode selects when outbox messages are counted into the
-// destination-sharded staging that routing's placement consumes.
-type RoutingMode uint8
-
-const (
-	// RouteEager (the default) counts each source shard's outboxes as
-	// soon as the shard's last chunk retires, overlapping routing work
-	// with the remainder of the vertex phase. The placement that follows
-	// the barrier then needs only the prefix and place passes.
-	RouteEager RoutingMode = iota
-	// RouteBarrier defers all counting to a dedicated pool phase after
-	// the barrier, reproducing the pre-pipelined schedule. Both modes
-	// build bit-identical inboxes and Stats: the staging layout and the
-	// canonical (source worker, chunk, emission) order are shared.
-	RouteBarrier
-)
-
 // Config controls an engine run.
 type Config struct {
 	// NumWorkers is the number of simulated workers; 0 means GOMAXPROCS.
@@ -212,16 +194,6 @@ type Config struct {
 	// deterministic per configuration but not bit-portable across chunk
 	// geometries.
 	ChunkSize int
-	// NoSteal pins every chunk to its owning worker's executor,
-	// reproducing the one-static-slab-per-worker schedule of earlier
-	// releases. Results are identical either way; only wall time changes.
-	NoSteal bool
-	// Routing selects eager (overlapped with compute) or barrier-time
-	// outbox counting. Results and Stats are bit-identical across modes;
-	// only wall time changes.
-	Routing RoutingMode
-	// Partitioner selects vertex placement (default PartitionMod).
-	Partitioner PartitionKind
 	// CheckpointEvery takes a recovery checkpoint at the barrier entering
 	// supersteps 0, k, 2k, …. 0 disables periodic checkpointing; when a
 	// fault plan is configured, a single superstep-0 checkpoint is still
@@ -402,9 +374,9 @@ func (c *aggCell) merge(spec AggSpec, o aggCell) {
 
 // fastDiv divides nonnegative 32-bit integers by a fixed divisor with a
 // Lemire-style multiply-high, replacing the hardware DIV/MOD that would
-// otherwise run once or twice per message in the hot paths (under mod
-// partitioning, send picks the owning worker with id mod W and routing
-// recovers the local index with id / W).
+// otherwise run once or twice per message in the hot paths (send picks
+// the owning worker with id mod W and routing recovers the local index
+// with id / W).
 type fastDiv struct {
 	m uint64 // ceil(2^64 / d); 0 means d == 1 (identity divide)
 	d uint32
@@ -437,8 +409,8 @@ func (f fastDiv) mod(x uint32) uint32 { return x - f.div(x)*f.d }
 type phaseKind uint8
 
 const (
-	phaseVertex      phaseKind = iota // chunked vertex compute (incl. fold + eager routing hooks)
-	phaseRouteCount                   // routing: per-(dest, source-shard) counts (barrier mode)
+	phaseVertex      phaseKind = iota // chunked vertex compute (incl. fold + counter merge)
+	phaseRouteCount                   // routing: per-(dest, source-shard) counts
 	phaseRoutePrefix                  // routing: offsets, inbox resize, reactivation
 	phaseRoutePlace                   // routing: stable placement into the CSR inbox
 )
@@ -475,11 +447,17 @@ func chunkSizeFor(cfgChunk, nw int) int {
 // cache lines.
 const maxRouteShards = 8
 
-// eagerSpan records one source shard's eager count timing for the
-// PhaseRouteEager trace span emitted at the barrier.
-type eagerSpan struct {
-	startNS, durNS int64
-	executor       int32
+// shardBounds groups w workers into n contiguous source shards for the
+// routing staging: bounds[s]..bounds[s+1] is shard s's worker range.
+// Shards are balanced (sizes differ by at most one) and the mapping is
+// a pure function of (w, n), so shard geometry — like chunk geometry —
+// never depends on execution order.
+func shardBounds(w, n int) []int32 {
+	bounds := make([]int32, n+1)
+	for s := 0; s <= n; s++ {
+		bounds[s] = int32(s * w / n)
+	}
+	return bounds
 }
 
 // engine holds one run's state.
@@ -494,28 +472,12 @@ type engine struct {
 	div        fastDiv
 	baseSize   int64   // wire bytes independent of payload: 4-byte dst + optional tag
 	msgSize    []int64 // full wire size per declared message type
-
-	// Partitioning. pblocks/pshift are set under PartitionDegree; a nil
-	// pblocks means mod partitioning.
-	pblocks []int32
-	pshift  uint32
-
-	noSteal    bool
-	combActive bool // the job registers at least one combiner
-	eager      bool // RouteEager: count outboxes as source shards retire
+	combActive bool    // the job registers at least one combiner
 
 	// Source-shard geometry for routing: workers are grouped into shards
 	// contiguous shard ranges (shardStart[s]..shardStart[s+1]).
-	// shardPending counts each shard's workers still computing (eager
-	// mode); eagerCounted marks that the vertex phase already produced
-	// this superstep's counts. shardObs records eager count timings for
-	// PhaseRouteEager spans.
-	shards       int
-	shardStart   []int32
-	workerShard  []int32
-	shardPending []atomic.Int32
-	eagerCounted bool
-	shardObs     []eagerSpan
+	shards     int
+	shardStart []int32
 
 	workers   []*worker
 	executors []*executor
@@ -611,18 +573,15 @@ type chunk struct {
 }
 
 // worker owns a partition of the vertices: ids with id mod W == index
-// under PartitionMod (local index = id / W), or the contiguous range
-// [startID, startID+len(ids)) under PartitionDegree (local = id -
-// startID). Vertex-phase execution is chunked; the worker's cursor is
-// the shared claim queue its own executor drains first and idle
-// executors steal from. Every slice and map below is retained across
+// (local index = id / W). Vertex-phase execution is chunked; the
+// worker's cursor is the shared claim queue its own executor drains
+// first and idle executors steal from. Every slice and map below is retained across
 // supersteps — the steady-state superstep allocates nothing.
 type worker struct {
-	e       *engine
-	index   int
-	ids     []graph.NodeID // global IDs owned, ascending
-	startID graph.NodeID   // first owned id (range partitioning)
-	single  bool           // exactly one chunk: combiner sends skip the raw log
+	e      *engine
+	index  int
+	ids    []graph.NodeID // global IDs owned, ascending
+	single bool           // exactly one chunk: combiner sends skip the raw log
 
 	active []bool
 	// numActive mirrors the sum of chunk numActive counters; refreshed at
@@ -637,8 +596,7 @@ type worker struct {
 	cursor atomic.Int32
 	// pendingChunks counts this worker's chunks not yet retired this
 	// vertex phase; the executor that retires the last one runs the
-	// worker epilogue (fold, counter/aggregator merge, and in eager mode
-	// the shard-retirement bookkeeping).
+	// worker epilogue (fold and counter/aggregator merge).
 	pendingChunks atomic.Int32
 	// crashed marks an injected fault: the worker's remaining chunks are
 	// skipped, emulating the machine death rollback will repair.
@@ -654,8 +612,6 @@ type worker struct {
 	// Hot-path caches copied from the engine at construction so send
 	// touches one cache line instead of chasing e.schema.
 	div       fastDiv
-	pblocks   []int32 // non-nil under PartitionDegree
-	pshift    uint32
 	combiners []Combiner // nil when the job registers none
 	msgSize   []int64
 	baseSize  int64
@@ -718,22 +674,12 @@ type worker struct {
 // ownerOf returns the worker index owning vertex v.
 //
 //gm:noalloc
-func (wk *worker) ownerOf(v graph.NodeID) int {
-	if wk.pblocks == nil {
-		return int(wk.div.mod(uint32(v)))
-	}
-	return int(wk.pblocks[uint32(v)>>wk.pshift])
-}
+func (wk *worker) ownerOf(v graph.NodeID) int { return int(wk.div.mod(uint32(v))) }
 
 // localOf returns the local index of v on its owning worker.
 //
 //gm:noalloc
-func (wk *worker) localOf(v graph.NodeID) int {
-	if wk.pblocks == nil {
-		return int(wk.div.div(uint32(v)))
-	}
-	return int(v - wk.startID)
-}
+func (wk *worker) localOf(v graph.NodeID) int { return int(wk.div.div(uint32(v))) }
 
 // executor is one persistent pool goroutine. Executors are 1:1 with
 // workers (executor i drains worker i's chunks first) but under work
@@ -788,14 +734,6 @@ func mix64(z uint64) uint64 {
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)
-}
-
-//gm:noalloc
-func (e *engine) workerOf(v graph.NodeID) int {
-	if e.pblocks == nil {
-		return int(e.div.mod(uint32(v)))
-	}
-	return int(e.pblocks[uint32(v)>>e.pshift])
 }
 
 // Run executes the job on g to completion and returns run statistics.
@@ -867,8 +805,6 @@ func newEngine(g *graph.Directed, job Job, cfg Config) *engine {
 		}
 	}
 	e.combActive = combiners != nil
-	e.noSteal = cfg.NoSteal
-	e.eager = cfg.Routing == RouteEager
 	e.shards = e.numWorkers
 	if e.shards > maxRouteShards {
 		e.shards = maxRouteShards
@@ -877,14 +813,6 @@ func newEngine(g *graph.Directed, job Job, cfg Config) *engine {
 		e.shards = 1
 	}
 	e.shardStart = shardBounds(e.numWorkers, e.shards)
-	e.workerShard = make([]int32, e.numWorkers)
-	for s := 0; s < e.shards; s++ {
-		for w := e.shardStart[s]; w < e.shardStart[s+1]; w++ {
-			e.workerShard[w] = int32(s)
-		}
-	}
-	e.shardPending = make([]atomic.Int32, e.shards)
-	e.shardObs = make([]eagerSpan, e.shards)
 	e.globals = make([]uint64, len(e.schema.Globals))
 	e.aggValues = make([]aggCell, len(e.schema.Aggregators))
 	e.masterSrc = newCountingSource(cfg.Seed)
@@ -913,31 +841,16 @@ func newEngine(g *graph.Directed, job Job, cfg Config) *engine {
 		e.wd = newWatchdog(e, cfg.StepDeadline)
 	}
 
-	// Partitioning: compute each worker's owned IDs.
+	// Partitioning: worker w owns the IDs congruent to w mod W.
 	n := g.NumNodes()
-	var rangeStarts []int32
-	if cfg.Partitioner == PartitionDegree {
-		rangeStarts, e.pblocks, e.pshift = degreeRanges(g, e.numWorkers)
-	}
 	e.workers = make([]*worker, e.numWorkers)
 	for w := 0; w < e.numWorkers; w++ {
 		wk := &worker{e: e, index: w, faultAt: -1, chunkFaultAt: -1}
-		if rangeStarts != nil {
-			lo, hi := rangeStarts[w], rangeStarts[w+1]
-			wk.startID = graph.NodeID(lo)
-			if hi > lo {
-				wk.ids = make([]graph.NodeID, 0, hi-lo)
-				for v := lo; v < hi; v++ {
-					wk.ids = append(wk.ids, graph.NodeID(v))
-				}
-			}
-		} else {
-			if n > w {
-				wk.ids = make([]graph.NodeID, 0, (n-w+e.numWorkers-1)/e.numWorkers)
-			}
-			for v := graph.NodeID(w); int(v) < n; v += graph.NodeID(e.numWorkers) {
-				wk.ids = append(wk.ids, v)
-			}
+		if n > w {
+			wk.ids = make([]graph.NodeID, 0, (n-w+e.numWorkers-1)/e.numWorkers)
+		}
+		for v := graph.NodeID(w); int(v) < n; v += graph.NodeID(e.numWorkers) {
+			wk.ids = append(wk.ids, v)
 		}
 		wk.active = make([]bool, len(wk.ids))
 		for i := range wk.active {
@@ -950,8 +863,6 @@ func newEngine(g *graph.Directed, job Job, cfg Config) *engine {
 			wk.combineIdx = make(map[uint64]combineSlot)
 		}
 		wk.div = e.div
-		wk.pblocks = e.pblocks
-		wk.pshift = e.pshift
 		wk.combiners = combiners
 		wk.msgSize = e.msgSize
 		wk.baseSize = e.baseSize
@@ -1044,30 +955,23 @@ func (e *engine) runPhase(kind phaseKind, step int) {
 }
 
 // runVertexPhase runs one chunked vertex-compute phase: the superstep's
-// compute work, plus — riding the same dispatch — the combiner fold,
-// the per-worker counter/aggregator merge, and (in eager mode) the
-// source-shard outbox counting, each triggered as the relevant chunks
-// retire instead of waiting behind extra pool barriers.
+// compute work, plus — riding the same dispatch — the combiner fold and
+// the per-worker counter/aggregator merge, each triggered as a worker's
+// last chunk retires instead of waiting behind an extra pool barrier.
 func (e *engine) runVertexPhase(step int) {
-	for s := range e.shardPending {
-		e.shardPending[s].Store(e.shardStart[s+1] - e.shardStart[s])
-	}
 	for _, wk := range e.workers {
 		wk.cursor.Store(0)
 		wk.pendingChunks.Store(int32(len(wk.chunks)))
 	}
-	// A chunkless worker (possible under degree partitioning when one
-	// oversized block absorbs several shares) never retires a chunk, so
-	// its epilogue runs here, before dispatch, on the barrier goroutine.
+	// A chunkless worker (every worker of an empty graph) never retires a
+	// chunk, so its epilogue runs here, before dispatch, on the barrier
+	// goroutine.
 	for _, wk := range e.workers {
 		if len(wk.chunks) == 0 {
-			e.workerEpilogue(wk, -1)
+			e.workerEpilogue(wk)
 		}
 	}
 	e.runPhase(phaseVertex, step)
-	if e.eager {
-		e.eagerCounted = true
-	}
 }
 
 // poolRun is an executor's persistent goroutine: park, run the commanded
@@ -1117,11 +1021,10 @@ func (k phaseKind) String() string {
 	return "unknown"
 }
 
-// vertexPhase drains the executor's own worker's chunk queue, then (with
-// stealing enabled) repeatedly claims a chunk from the worker with the
-// most unclaimed chunks (ties broken by lowest worker index). Which
-// executor runs a chunk never affects results — only the chunk's span
-// attribution.
+// vertexPhase drains the executor's own worker's chunk queue, then
+// repeatedly steals a chunk from the worker with the most unclaimed
+// chunks (ties broken by lowest worker index). Which executor runs a
+// chunk never affects results — only the chunk's span attribution.
 //
 //gm:noalloc
 func (x *executor) vertexPhase(step int) {
@@ -1134,9 +1037,6 @@ func (x *executor) vertexPhase(step int) {
 		}
 		x.runChunk(own, ci, step)
 		x.retireChunk(own)
-	}
-	if e.noSteal {
-		return
 	}
 	for {
 		victim := -1
@@ -1169,7 +1069,7 @@ func (x *executor) vertexPhase(step int) {
 //gm:noalloc
 func (x *executor) retireChunk(wk *worker) {
 	if wk.pendingChunks.Add(-1) == 0 {
-		x.e.workerEpilogue(wk, x.id)
+		x.e.workerEpilogue(wk)
 	}
 }
 
@@ -1276,18 +1176,15 @@ func (x *executor) runChunk(wk *worker, ci, step int) {
 }
 
 // workerEpilogue runs when wk's last chunk of the vertex phase retires:
-// it folds the worker's raw combiner logs (multi-chunk combiner workers),
-// merges the chunk counters and aggregator cells into the worker-level
-// partials in canonical chunk order, and — in eager mode — retires the
-// worker from its source shard, counting the whole shard's outboxes once
-// its last worker retires. Everything here reads state owned by wk (made
-// visible by the retirement decrement chain) or writes routing staging
-// no vertex-phase code touches, so it is safe to run while other
-// workers' chunks are still computing. executor is -1 when called from
-// the barrier goroutine (chunkless workers).
+// it folds the worker's raw combiner logs (multi-chunk combiner workers)
+// and merges the chunk counters and aggregator cells into the
+// worker-level partials in canonical chunk order. Everything here reads
+// and writes state owned by wk (made visible by the retirement decrement
+// chain), so it is safe to run while other workers' chunks are still
+// computing.
 //
 //gm:noalloc
-func (e *engine) workerEpilogue(wk *worker, executor int) {
+func (e *engine) workerEpilogue(wk *worker) {
 	if wk.combiners != nil && !wk.single {
 		wk.fold()
 	}
@@ -1304,26 +1201,6 @@ func (e *engine) workerEpilogue(wk *worker, executor int) {
 			wk.aggPartial[s].merge(e.schema.Aggregators[s], ck.agg[s])
 			ck.agg[s] = aggCell{}
 		}
-	}
-	if !e.eager {
-		return
-	}
-	sh := e.workerShard[wk.index]
-	if e.shardPending[sh].Add(-1) != 0 {
-		return
-	}
-	// Last worker of the shard: count the shard's outboxes into every
-	// destination's staging row, overlapping with compute still running
-	// on other shards.
-	var t0 int64
-	if e.obsOn {
-		t0 = e.nowNS()
-	}
-	for _, dst := range e.workers {
-		e.countShard(dst, int(sh))
-	}
-	if e.obsOn {
-		e.shardObs[sh] = eagerSpan{startNS: t0, durNS: e.nowNS() - t0, executor: int32(executor)}
 	}
 }
 
@@ -1707,9 +1584,8 @@ func (e *engine) run(ctx context.Context) error {
 // emitVertexSpans emits the superstep's chunk spans (executor- and
 // steal-attributed, from the snapshots the worker epilogue took before
 // clearing the live counters) followed by one aggregated vertex-compute
-// span per worker and the eager-count spans (one per source shard), even
-// for a superstep that is about to roll back: the trace keeps failed
-// work visible while Stats rewinds.
+// span per worker, even for a superstep that is about to roll back:
+// the trace keeps failed work visible while Stats rewinds.
 func (e *engine) emitVertexSpans(step int, stateLabel string) {
 	for _, wk := range e.workers {
 		var dur int64
@@ -1737,18 +1613,6 @@ func (e *engine) emitVertexSpans(step int, stateLabel string) {
 			State: stateLabel, StartNS: startNS, DurNS: dur,
 			Messages: wk.msgs, Bytes: wk.netBytes, VertexCalls: wk.calls})
 	}
-	// Eager-count spans: Worker carries the source-shard index, Executor
-	// the pool goroutine that counted it (-1 when the shard retired on
-	// the barrier goroutine).
-	for sh := range e.shardObs {
-		es := &e.shardObs[sh]
-		if es.durNS == 0 && es.startNS == 0 {
-			continue
-		}
-		e.emit(obs.Span{Superstep: step, Worker: sh, Phase: obs.PhaseRouteEager,
-			StartNS: es.startNS, DurNS: es.durNS, Executor: int(es.executor)})
-		*es = eagerSpan{}
-	}
 }
 
 // collectPhaseErrors scans executors and chunks (in canonical order)
@@ -1767,8 +1631,9 @@ func (e *engine) collectPhaseErrors(step int) (*InjectedFault, error) {
 		// A fault armed on a worker owning too few vertices (faultAt
 		// beyond its range) crashes at phase end, like the pre-chunk
 		// engine. The same fallback covers a chunk-exec fault on a
-		// chunkless worker, a steal fault when nothing was stolen (NoSteal,
-		// single worker), and a fold fault on a worker that never folds.
+		// chunkless worker, a steal fault when nothing was stolen (a
+		// single worker, or executors that never ran dry), and a fold
+		// fault on a worker that never folds.
 		if wk.faultAt >= len(wk.ids) && wk.faultAt >= 0 {
 			crashed = &InjectedFault{Superstep: step, Worker: wk.index, Phase: FaultVertexCompute}
 		}
@@ -1874,30 +1739,23 @@ func (e *engine) masterPhase(step int) (halted bool, err error) {
 // no cross-shard cache contention. The placement is a sharded stable
 // counting sort: row offsets depend only on the box geometry, never on
 // which executor runs a task, so the inbox is bit-identical to a
-// single-threaded sort, and identical between eager and barrier modes
-// (both count the same boxes into the same rows).
+// single-threaded sort.
 //
-// In eager mode the count pass already ran, overlapped with the vertex
-// phase (workerEpilogue → countShard, as each shard's last chunk
-// retired), leaving only the prefix and place dispatches here. In
-// barrier mode a dedicated count dispatch reproduces the trailing
-// schedule for A/B comparison.
+// Routing runs after the barrier as three pool dispatches — count,
+// prefix, place — so the vertex phase never writes routing staging.
 
-// routeMessages runs the routing sub-phases still outstanding for this
-// superstep and reports whether any message is in flight. Boxes are
-// read-only during the phase and truncated by chunk execution (or fold)
-// at the start of the next vertex phase; once inbox/scratch capacity
-// has reached its high-water mark, routing allocates nothing.
+// routeMessages runs the superstep's count, prefix and place dispatches
+// and reports whether any message is in flight. Boxes are read-only
+// during the phase and truncated by chunk execution (or fold) at the
+// start of the next vertex phase; once inbox/scratch capacity has
+// reached its high-water mark, routing allocates nothing.
 func (e *engine) routeMessages() bool {
 	// Routing rebuilds the inbox in RAM; any spill segment from the
 	// previous superstep is dead from here on.
 	for _, wk := range e.workers {
 		wk.spilled = false
 	}
-	if !e.eagerCounted {
-		e.runPhase(phaseRouteCount, 0)
-	}
-	e.eagerCounted = false
+	e.runPhase(phaseRouteCount, 0)
 	e.runPhase(phaseRoutePrefix, 0)
 	e.runPhase(phaseRoutePlace, 0)
 	any := false
@@ -1914,9 +1772,8 @@ func (e *engine) routeMessages() bool {
 // dst's srcCounts row for the shard, walking the shard's workers (and
 // their chunks) in canonical order. A shard that sent nothing to dst
 // skips the walk and leaves the row stale — srcMsgs records the total
-// so prefix and place skip it too. Called from the worker epilogue in
-// eager mode (overlapped with compute) and from the count dispatch in
-// barrier mode; either way exactly one goroutine writes each row.
+// so prefix and place skip it too. Each (destination, shard) row is one
+// count-dispatch task, so exactly one goroutine writes it.
 //
 //gm:noalloc
 func (e *engine) countShard(dst *worker, sh int) {
@@ -1962,19 +1819,11 @@ func (e *engine) countShard(dst *worker, sh int) {
 }
 
 // routePhase drains (destination, source-shard) tasks for the count or
-// place sub-phase. With stealing disabled each executor handles only
-// its own worker's rows, reproducing per-worker routing.
+// place sub-phase from the shared task queue.
 //
 //gm:noalloc
 func (x *executor) routePhase(kind phaseKind) {
 	e := x.e
-	if e.noSteal {
-		wk := e.workers[x.id]
-		for s := 0; s < e.shards; s++ {
-			wk.runShard(kind, s)
-		}
-		return
-	}
 	grid := int64(e.shards)
 	limit := int64(len(e.workers)) * grid
 	for {
@@ -2007,10 +1856,6 @@ func (wk *worker) runShard(kind phaseKind, s int) {
 //gm:noalloc
 func (x *executor) prefixPhase() {
 	e := x.e
-	if e.noSteal {
-		e.workers[x.id].routePrefix()
-		return
-	}
 	for {
 		t := int(e.taskCursor.Add(1)) - 1
 		if t >= len(e.workers) {
@@ -2023,15 +1868,11 @@ func (x *executor) prefixPhase() {
 // routePrefix turns the per-shard counts into placement offsets and the
 // CSR inbox offsets, sizes the inbox, and reactivates message
 // recipients (maintaining the chunk active counters). Offsets derive
-// only from counts, so placement is execution-order independent. In
-// eager mode an armed route-count fault fires here instead — the count
-// pass it targets was absorbed into the vertex phase, and fail-stop
-// semantics make the two observationally equivalent (the failure
-// surfaces at the routing barrier either way).
+// only from counts, so placement is execution-order independent.
 //
 //gm:noalloc
 func (wk *worker) routePrefix() {
-	if wk.routeFaultOn && (wk.routeFault == FaultRoutePrefix || wk.routeFault == FaultRouteCount) {
+	if wk.routeFaultOn && wk.routeFault == FaultRoutePrefix {
 		wk.routeFaultOn = false
 		wk.phaseErr = &InjectedFault{Superstep: wk.faultStep, Worker: wk.index, Phase: wk.routeFault} //gm:alloc-ok fault-injection testing path; never armed in production runs
 	}
