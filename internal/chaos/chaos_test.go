@@ -33,8 +33,9 @@ func (j *rankJob) MasterCompute(mc *pregel.MasterContext) {
 
 func (j *rankJob) VertexCompute(vc *pregel.VertexContext) {
 	sum := 0.0
-	for _, m := range vc.Messages() {
-		sum += m.Float(0)
+	msgs := vc.Messages()
+	for i := range msgs.Len() {
+		sum += msgs.Float(i, 0)
 	}
 	id := int(vc.ID())
 	j.rank[id] = 0.15/float64(len(j.rank)) + 0.85*sum

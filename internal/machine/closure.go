@@ -88,9 +88,9 @@ func (ex *exec) compileStmt(s ir.Stmt, vs *VertexState) stmtFn {
 		return func(env *vertexEnv) {
 			v := env.vc.ID()
 			msgs := env.vc.Messages()
-			for i := range msgs {
-				if msgs[i].Type == mt {
-					ex.inNbrs[v] = append(ex.inNbrs[v], msgs[i].Node(0))
+			for i := range msgs.Len() {
+				if msgs.Type(i) == mt {
+					ex.inNbrs[v] = append(ex.inNbrs[v], msgs.Node(i, 0))
 				}
 			}
 		}
@@ -98,15 +98,15 @@ func (ex *exec) compileStmt(s ir.Stmt, vs *VertexState) stmtFn {
 		mt := uint8(s.MsgType)
 		body := ex.compileStmts(s.Body, vs)
 		return func(env *vertexEnv) {
-			msgs := env.vc.Messages()
-			for i := range msgs {
-				if msgs[i].Type != mt {
+			env.msgs = env.vc.Messages()
+			for i := range env.msgs.Len() {
+				if env.msgs.Type(i) != mt {
 					continue
 				}
-				env.curMsg = &msgs[i]
+				env.msgIdx = i
 				runAll(body, env)
 			}
-			env.curMsg = nil
+			env.msgIdx = -1
 		}
 	case ir.If:
 		cond := ex.compileExpr(s.Cond)
@@ -335,13 +335,13 @@ func (ex *exec) compileExpr(e ir.Expr) exprFn {
 		idx := e.Idx
 		switch e.K {
 		case ir.KFloat:
-			return func(env *vertexEnv) ir.Value { return ir.Float(env.curMsg.Float(idx)) }
+			return func(env *vertexEnv) ir.Value { return ir.Float(env.msgs.Float(env.msgIdx, idx)) }
 		case ir.KBool:
-			return func(env *vertexEnv) ir.Value { return ir.Bool(env.curMsg.Bool(idx)) }
+			return func(env *vertexEnv) ir.Value { return ir.Bool(env.msgs.Bool(env.msgIdx, idx)) }
 		case ir.KNode:
-			return func(env *vertexEnv) ir.Value { return ir.Node(env.curMsg.Node(idx)) }
+			return func(env *vertexEnv) ir.Value { return ir.Node(env.msgs.Node(env.msgIdx, idx)) }
 		default:
-			return func(env *vertexEnv) ir.Value { return ir.Int(env.curMsg.Int(idx)) }
+			return func(env *vertexEnv) ir.Value { return ir.Int(env.msgs.Int(env.msgIdx, idx)) }
 		}
 	case ir.Builtin:
 		switch e.Op {

@@ -181,7 +181,7 @@ func run(ctx context.Context, p *Program, g *graph.Directed, b Bindings, cfg pre
 	}
 	ex.envs = make([]*vertexEnv, resolvedWorkers(cfg, g.NumNodes()))
 	for w := range ex.envs {
-		ex.envs[w] = &vertexEnv{ex: ex, curEdge: -1, locals: make([]ir.Value, maxLocals)}
+		ex.envs[w] = &vertexEnv{ex: ex, curEdge: -1, msgIdx: -1, locals: make([]ir.Value, maxLocals)}
 	}
 	st, err := pregel.RunContext(ctx, g, ex, cfg)
 	res := &Result{Stats: st, prog: p, cols: ex.cols, Ret: ex.ret, HasRet: ex.retSet}
@@ -220,6 +220,7 @@ func (ex *exec) Schema() pregel.Schema {
 	var s pregel.Schema
 	for _, m := range ex.p.Msgs {
 		s.MessagePayloadBytes = append(s.MessagePayloadBytes, m.PayloadBytes())
+		s.MessageSlots = append(s.MessageSlots, len(m.Fields))
 	}
 	for _, a := range ex.p.Aggs {
 		spec := pregel.AggSpec{Name: a.Name}
@@ -409,7 +410,7 @@ func (ex *exec) VertexCompute(vc *pregel.VertexContext) {
 	env.vc = vc
 	env.vs = vs
 	env.curEdge = -1
-	env.curMsg = nil
+	env.msgIdx = -1
 	for i, k := range vs.Locals {
 		env.locals[i] = ir.Zero(k)
 	}
@@ -474,23 +475,23 @@ func (ex *exec) execVertex(ss []ir.Stmt, env *vertexEnv) {
 				panic("machine: CollectInNbrs without allocated storage")
 			}
 			v := env.vc.ID()
-			for i := range env.vc.Messages() {
-				m := &env.vc.Messages()[i]
-				if int(m.Type) != s.MsgType {
+			msgs := env.vc.Messages()
+			for i := range msgs.Len() {
+				if int(msgs.Type(i)) != s.MsgType {
 					continue
 				}
-				ex.inNbrs[v] = append(ex.inNbrs[v], m.Node(0))
+				ex.inNbrs[v] = append(ex.inNbrs[v], msgs.Node(i, 0))
 			}
 		case ir.ForMsgs:
-			for i := range env.vc.Messages() {
-				m := &env.vc.Messages()[i]
-				if int(m.Type) != s.MsgType {
+			env.msgs = env.vc.Messages()
+			for i := range env.msgs.Len() {
+				if int(env.msgs.Type(i)) != s.MsgType {
 					continue
 				}
-				env.curMsg = m
+				env.msgIdx = i
 				ex.execVertex(s.Body, env)
 			}
-			env.curMsg = nil
+			env.msgIdx = -1
 		case ir.If:
 			if ir.Eval(s.Cond, env).AsBool() {
 				ex.execVertex(s.Then, env)
@@ -592,11 +593,14 @@ func (e *masterEnv) BuiltinVal(op ir.BuiltinOp) ir.Value {
 }
 
 type vertexEnv struct {
-	ex      *exec
-	vc      *pregel.VertexContext
-	vs      *VertexState
-	locals  []ir.Value
-	curMsg  *pregel.Msg
+	ex     *exec
+	vc     *pregel.VertexContext
+	vs     *VertexState
+	locals []ir.Value
+	// msgs is the vertex's message view and msgIdx the message a receive
+	// loop is visiting (-1 outside one).
+	msgs    pregel.Msgs
+	msgIdx  int
 	curEdge int64
 }
 
@@ -639,10 +643,10 @@ func (e *vertexEnv) EdgeProp(slot int) ir.Value {
 func (e *vertexEnv) CurNode() ir.Value { return ir.Node(e.vc.ID()) }
 
 func (e *vertexEnv) MsgField(idx int) ir.Value {
-	if e.curMsg == nil {
+	if e.msgIdx < 0 {
 		panic("machine: message field read outside a receive loop")
 	}
-	return ir.Int(e.curMsg.Int(idx)) // caller converts via MsgField.K
+	return ir.Int(e.msgs.Int(e.msgIdx, idx)) // caller converts via MsgField.K
 }
 
 func (e *vertexEnv) Agg(int) (ir.Value, bool) { panic("machine: aggregator read in vertex context") }

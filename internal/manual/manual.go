@@ -36,6 +36,7 @@ type AvgTeen struct {
 func (j *AvgTeen) Schema() pregel.Schema {
 	return pregel.Schema{
 		MessagePayloadBytes: []int{0},
+		MessageSlots:        []int{0},
 		Aggregators: []pregel.AggSpec{
 			{Name: "S", Kind: pregel.AggKindInt, Op: pregel.AggSum},
 			{Name: "C", Kind: pregel.AggKindInt, Op: pregel.AggSum},
@@ -67,7 +68,7 @@ func (j *AvgTeen) VertexCompute(vc *pregel.VertexContext) {
 			vc.SendToAllNbrs(pregel.Msg{})
 		}
 	case 1:
-		j.TeenCnt[v] = int64(len(vc.Messages()))
+		j.TeenCnt[v] = int64(vc.Messages().Len())
 		if j.Age[v] > j.K {
 			vc.AggInt(0, j.TeenCnt[v])
 			vc.AggInt(1, 1)
@@ -92,6 +93,7 @@ type PageRank struct {
 func (j *PageRank) Schema() pregel.Schema {
 	return pregel.Schema{
 		MessagePayloadBytes: []int{8},
+		MessageSlots:        []int{1},
 		Aggregators: []pregel.AggSpec{
 			{Name: "diff", Kind: pregel.AggKindFloat, Op: pregel.AggSum},
 		},
@@ -123,8 +125,9 @@ func (j *PageRank) VertexCompute(vc *pregel.VertexContext) {
 	}
 	if s >= 2 {
 		sum := 0.0
-		for _, m := range vc.Messages() {
-			sum += m.Float(0)
+		msgs := vc.Messages()
+		for i := range msgs.Len() {
+			sum += msgs.Float(i, 0)
 		}
 		val := (1-j.D)/n + j.D*sum
 		d := val - j.PR[v]
@@ -158,6 +161,7 @@ type Conductance struct {
 func (j *Conductance) Schema() pregel.Schema {
 	return pregel.Schema{
 		MessagePayloadBytes: []int{4, 0},
+		MessageSlots:        []int{1, 0},
 		Aggregators: []pregel.AggSpec{
 			{Name: "Din", Kind: pregel.AggKindInt, Op: pregel.AggSum},
 			{Name: "Dout", Kind: pregel.AggKindInt, Op: pregel.AggSum},
@@ -213,8 +217,9 @@ func (j *Conductance) VertexCompute(vc *pregel.VertexContext) {
 		m.Type = 0
 		vc.SendToAllNbrs(m)
 	case 1:
-		for _, m := range vc.Messages() {
-			j.inNbrs[v] = append(j.inNbrs[v], m.Node(0))
+		msgs := vc.Messages()
+		for i := range msgs.Len() {
+			j.inNbrs[v] = append(j.inNbrs[v], msgs.Node(i, 0))
 		}
 		deg := int64(vc.OutDegree())
 		if j.Member[v] == j.Num {
@@ -229,7 +234,7 @@ func (j *Conductance) VertexCompute(vc *pregel.VertexContext) {
 		}
 	case 2:
 		if j.Member[v] == j.Num {
-			vc.AggInt(2, int64(len(vc.Messages())))
+			vc.AggInt(2, int64(vc.Messages().Len()))
 		}
 	}
 }
@@ -246,7 +251,7 @@ type SSSP struct {
 
 // Schema declares the single 8-byte candidate-distance message.
 func (j *SSSP) Schema() pregel.Schema {
-	return pregel.Schema{MessagePayloadBytes: []int{8}}
+	return pregel.Schema{MessagePayloadBytes: []int{8}, MessageSlots: []int{1}}
 }
 
 // MasterCompute is empty: termination is by quiescence (all vertices
@@ -268,8 +273,9 @@ func (j *SSSP) VertexCompute(vc *pregel.VertexContext) {
 			j.Dist[v] = maxInt64
 		}
 	}
-	for _, m := range vc.Messages() {
-		if d := m.Int(0); d < j.Dist[v] {
+	msgs := vc.Messages()
+	for i := range msgs.Len() {
+		if d := msgs.Int(i, 0); d < j.Dist[v] {
 			j.Dist[v] = d
 			improved = true
 		}
@@ -307,6 +313,7 @@ type Bipartite struct {
 func (j *Bipartite) Schema() pregel.Schema {
 	return pregel.Schema{
 		MessagePayloadBytes: []int{4, 4, 4},
+		MessageSlots:        []int{1, 1, 1},
 		Aggregators: []pregel.AggSpec{
 			{Name: "progress", Kind: pregel.AggKindBool, Op: pregel.AggOr},
 			{Name: "count", Kind: pregel.AggKindInt, Op: pregel.AggSum},
@@ -362,9 +369,10 @@ func (j *Bipartite) VertexCompute(vc *pregel.VertexContext) {
 			vc.SendToAllNbrs(m)
 		}
 	case 1: // accept
-		for _, m := range vc.Messages() {
+		msgs := vc.Messages()
+		for i := range msgs.Len() {
 			if j.Match[v] == graph.NilNode {
-				j.suitor[v] = m.Node(0)
+				j.suitor[v] = msgs.Node(i, 0)
 			}
 		}
 		if !j.IsBoy[v] && j.suitor[v] != graph.NilNode {
@@ -375,8 +383,9 @@ func (j *Bipartite) VertexCompute(vc *pregel.VertexContext) {
 			vc.Send(j.suitor[v], m)
 		}
 	case 2: // finalize
-		for _, m := range vc.Messages() {
-			j.suitor[v] = m.Node(0)
+		msgs := vc.Messages()
+		for i := range msgs.Len() {
+			j.suitor[v] = msgs.Node(i, 0)
 		}
 		if j.IsBoy[v] && j.Match[v] == graph.NilNode && j.suitor[v] != graph.NilNode {
 			g := j.suitor[v]
@@ -388,8 +397,9 @@ func (j *Bipartite) VertexCompute(vc *pregel.VertexContext) {
 			vc.AggInt(1, 1)
 		}
 	case 3: // notify
-		for _, m := range vc.Messages() {
-			j.Match[v] = m.Node(0)
+		msgs := vc.Messages()
+		for i := range msgs.Len() {
+			j.Match[v] = msgs.Node(i, 0)
 		}
 	}
 }

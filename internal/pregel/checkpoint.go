@@ -356,13 +356,15 @@ func (e *engine) encodeState() []byte {
 		for _, a := range wk.active {
 			w.bool(a)
 		}
-		w.u32(uint32(len(wk.inFlat)))
-		for i := range wk.inFlat {
-			m := &wk.inFlat[i]
-			w.u32(uint32(m.Dst))
-			w.u8(m.Type)
-			for _, v := range m.V {
-				w.u64(v)
+		w.u32(uint32(wk.inTotal))
+		for li, v := range wk.ids {
+			for p := int(wk.inOff[li]); p < int(wk.inOff[li+1]); p++ {
+				m := wk.inboxMsg(p, v)
+				w.u32(uint32(m.Dst))
+				w.u8(m.Type)
+				for _, v := range m.V {
+					w.u64(v)
+				}
 			}
 		}
 		w.u32(uint32(len(wk.inOff)))
@@ -374,6 +376,55 @@ func (e *engine) encodeState() []byte {
 	binary.LittleEndian.PutUint64(w.b[1:frameHeaderBytes], uint64(plen))
 	w.u64(fnv64a(w.b[frameHeaderBytes : frameHeaderBytes+plen]))
 	return w.b
+}
+
+// restoreInbox rebuilds wk's inbox from total checkpoint records,
+// placed by the already-restored inOff table. The inbox stores neither
+// destinations nor, in untagged runs, types, nor slots beyond k, so a
+// record whose destination is not its row's vertex, an untagged record
+// with a nonzero type, or a nonzero unbuffered slot is rejected — as is
+// an offset table that does not partition exactly total messages.
+// Accepting only what the encoder writes keeps decode∘encode the
+// identity.
+func (wk *worker) restoreInbox(recs []byte, total int) error {
+	n := len(wk.ids)
+	if wk.inOff[0] != 0 {
+		return fmt.Errorf("worker %d inbox offsets start at %d, want 0", wk.index, wk.inOff[0])
+	}
+	for li := 0; li < n; li++ {
+		if wk.inOff[li+1] < wk.inOff[li] {
+			return fmt.Errorf("worker %d inbox offsets decrease at vertex %d", wk.index, li)
+		}
+	}
+	if int(wk.inOff[n]) != total {
+		return fmt.Errorf("worker %d inbox offsets cover %d messages, inbox holds %d", wk.index, wk.inOff[n], total)
+	}
+	wk.inTotal = total
+	wk.sizeInbox(total)
+	k := wk.k
+	r := &stateDec{b: recs}
+	for li, v := range wk.ids {
+		for p := int(wk.inOff[li]); p < int(wk.inOff[li+1]); p++ {
+			if dst := nodeFromU32(r.u32()); dst != v {
+				return fmt.Errorf("worker %d inbox message %d is addressed to %d, its row is vertex %d", wk.index, p, dst, v)
+			}
+			t := r.u8()
+			if wk.tagged {
+				wk.inTyp[p] = t
+			} else if t != 0 {
+				return fmt.Errorf("worker %d inbox message %d has type %d in an untagged run", wk.index, p, t)
+			}
+			for s := 0; s < MaxPayloadSlots; s++ {
+				x := r.u64()
+				if s < k {
+					wk.inPay[p*k+s] = x
+				} else if x != 0 {
+					return fmt.Errorf("worker %d inbox message %d sets unbuffered slot %d", wk.index, p, s)
+				}
+			}
+		}
+	}
+	return nil
 }
 
 // decodeState restores the engine to the serialized barrier state,
@@ -453,29 +504,28 @@ func (e *engine) decodeState(data []byte) error {
 				wk.numActive++
 			}
 		}
-		wk.inFlat = wk.inFlat[:0]
-		for i, n := 0, r.count(msgWireBytes); i < n; i++ {
-			var m Msg
-			m.Dst = nodeFromU32(r.u32())
-			m.Type = r.u8()
-			for s := range m.V {
-				m.V[s] = r.u64()
-			}
-			wk.inFlat = append(wk.inFlat, m)
-		}
+		// The inbox records precede the offset table that gives them their
+		// rows, so they are decoded once the table is read.
+		total := r.count(msgWireBytes)
+		recs := r.take(total * msgWireBytes)
 		if n := int(r.u32()); n != len(wk.inOff) {
 			return fmt.Errorf("worker %d inbox-offset count mismatch", wk.index)
 		}
 		for i := range wk.inOff {
 			wk.inOff[i] = int32(r.u32())
 		}
-		wk.inTotal = len(wk.inFlat)
+		if r.bad {
+			return fmt.Errorf("malformed checkpoint payload (%d bytes)", len(payload))
+		}
+		if err := wk.restoreInbox(recs, total); err != nil {
+			return err
+		}
 		// Transients a crashed superstep may have dirtied. Outbox, raw-log
 		// and box slices keep their capacity: replay reuses them. Chunk
 		// active counters are recomputed from the restored flags so the
 		// chunk/worker invariant holds before the next vertex phase.
 		for d := range wk.outboxes {
-			wk.outboxes[d] = wk.outboxes[d][:0]
+			wk.outboxes[d].reset()
 		}
 		if wk.combineIdx != nil {
 			clear(wk.combineIdx)
@@ -490,9 +540,9 @@ func (e *engine) decodeState(data []byte) error {
 			}
 			ck.numActive = na
 			for d := range ck.boxes {
-				ck.boxes[d] = ck.boxes[d][:0]
+				ck.boxes[d].reset()
 			}
-			ck.raw = ck.raw[:0]
+			ck.raw.reset()
 			for s := range ck.agg {
 				ck.agg[s] = aggCell{}
 			}

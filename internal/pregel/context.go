@@ -114,7 +114,7 @@ type VertexContext struct {
 	superstep int
 	id        graph.NodeID
 	local     int
-	msgs      []Msg
+	msgs      Msgs
 }
 
 // ID returns the vertex's global ID.
@@ -136,9 +136,20 @@ func (vc *VertexContext) OutNbrs() []graph.NodeID { return vc.wk.e.g.OutNbrs(vc.
 // for reading per-edge property arrays.
 func (vc *VertexContext) OutEdgeRange() (lo, hi int64) { return vc.wk.e.g.OutEdgeRange(vc.id) }
 
-// Messages returns the messages sent to this vertex in the previous
-// superstep, grouped deterministically (source-worker order).
-func (vc *VertexContext) Messages() []Msg { return vc.msgs }
+// Messages returns a read-only view of the messages sent to this vertex
+// in the previous superstep, grouped deterministically (source-worker
+// order). The view aliases the inbox: no message is copied.
+func (vc *VertexContext) Messages() Msgs { return vc.msgs }
+
+// normalize applies the buffer schema to an outgoing message: untagged
+// runs send everything as type 0, and slots beyond the type's declared
+// width are zeroed.
+func (wk *worker) normalize(m *Msg) {
+	if !wk.tagged {
+		m.Type = 0
+	}
+	wk.trim(m)
+}
 
 // deliver records one outgoing message on the current chunk. Plain jobs
 // box it by destination worker immediately; combiner jobs log the raw
@@ -146,19 +157,20 @@ func (vc *VertexContext) Messages() []Msg { return vc.msgs }
 // single chunk and therefore exclusively executed, fold it in place).
 // Either way the message's eventual position depends only on its
 // (worker, chunk, emission-index) coordinates, not on the executor.
-func (vc *VertexContext) deliver(m Msg) {
+func (vc *VertexContext) deliver(m *Msg) {
 	wk := vc.wk
+	wk.normalize(m)
 	if wk.combiners != nil {
 		if wk.single {
 			wk.foldSend(m)
 		} else {
-			vc.ck.raw = append(vc.ck.raw, m)
+			vc.ck.raw.push(m.Dst, m.Type, m.V[:wk.k], wk.tagged)
 		}
 		return
 	}
 	ck := vc.ck
 	dw := wk.ownerOf(m.Dst)
-	ck.boxes[dw] = append(ck.boxes[dw], m)
+	ck.boxes[dw].push(m.Dst, m.Type, m.V[:wk.k], wk.tagged)
 	ck.msgs++
 	size := wk.baseSize
 	if int(m.Type) < len(wk.msgSize) {
@@ -175,23 +187,24 @@ func (vc *VertexContext) deliver(m Msg) {
 // Send sends m to dst, delivered next superstep.
 func (vc *VertexContext) Send(dst graph.NodeID, m Msg) {
 	m.Dst = dst
-	vc.deliver(m)
+	vc.deliver(&m)
 }
 
 // SendToAllNbrs sends a copy of m to every out-neighbor.
 func (vc *VertexContext) SendToAllNbrs(m Msg) {
 	nbrs := vc.wk.e.g.OutNbrs(vc.id)
 	wk := vc.wk
+	wk.normalize(&m)
+	pay := m.V[:wk.k]
 	if wk.combiners != nil {
 		if wk.single {
 			for _, d := range nbrs {
 				m.Dst = d
-				wk.foldSend(m)
+				wk.foldSend(&m)
 			}
 		} else {
 			for _, d := range nbrs {
-				m.Dst = d
-				vc.ck.raw = append(vc.ck.raw, m)
+				vc.ck.raw.push(d, m.Type, pay, wk.tagged)
 			}
 		}
 		return
@@ -204,18 +217,19 @@ func (vc *VertexContext) SendToAllNbrs(m Msg) {
 	}
 	self := wk.index
 	div := wk.div
+	local := 0
 	for _, d := range nbrs {
-		m.Dst = d
 		dw := int(div.mod(uint32(d)))
-		ck.boxes[dw] = append(ck.boxes[dw], m)
-		if dw != self {
-			ck.netMsgs++
-			ck.netBytes += size
-		} else {
-			ck.localBytes += size
+		if dw == self {
+			local++
 		}
+		ck.boxes[dw].push(d, m.Type, pay, wk.tagged)
 	}
+	remote := int64(len(nbrs) - local)
 	ck.msgs += int64(len(nbrs))
+	ck.netMsgs += remote
+	ck.netBytes += remote * size
+	ck.localBytes += int64(local) * size
 }
 
 // VoteToHalt deactivates this vertex; it is reactivated when a message

@@ -239,8 +239,9 @@ func (j *orderAllJob) MasterCompute(mc *MasterContext) {
 	}
 }
 func (j *orderAllJob) VertexCompute(vc *VertexContext) {
-	for _, m := range vc.Messages() {
-		j.order[vc.ID()] = append(j.order[vc.ID()], m.Int(0))
+	msgs := vc.Messages()
+	for i := range msgs.Len() {
+		j.order[vc.ID()] = append(j.order[vc.ID()], msgs.Int(i, 0))
 	}
 	if vc.Superstep() < 2 {
 		var m Msg
@@ -267,7 +268,7 @@ func (j *bfsLevelJob) VertexCompute(vc *VertexContext) {
 			j.level[v] = 0
 			vc.SendToAllNbrs(Msg{})
 		}
-	} else if j.level[v] < 0 && len(vc.Messages()) > 0 {
+	} else if j.level[v] < 0 && vc.Messages().Len() > 0 {
 		j.level[v] = int64(vc.Superstep())
 		vc.SendToAllNbrs(Msg{})
 	}

@@ -109,8 +109,9 @@ func (j *orderJob) VertexCompute(vc *VertexContext) {
 		vc.Send(0, m)
 		return
 	}
-	for _, m := range vc.Messages() {
-		j.order[vc.ID()] = append(j.order[vc.ID()], m.Int(0))
+	msgs := vc.Messages()
+	for i := range msgs.Len() {
+		j.order[vc.ID()] = append(j.order[vc.ID()], msgs.Int(i, 0))
 	}
 }
 
@@ -165,8 +166,9 @@ func (j *combinerEngineJob) VertexCompute(vc *VertexContext) {
 		m.SetInt(0, int64(vc.ID()))
 		vc.Send(0, m)
 	case 1:
-		for _, m := range vc.Messages() {
-			j.sum[vc.ID()] += m.Int(0)
+		msgs := vc.Messages()
+		for i := range msgs.Len() {
+			j.sum[vc.ID()] += msgs.Int(i, 0)
 		}
 	}
 }

@@ -13,12 +13,16 @@ import (
 // memory. Test with errors.Is.
 var ErrBudgetExceeded = errors.New("pregel: memory budget exceeded")
 
-// msgMemBytes is the accounted in-memory footprint of one buffered Msg:
-// 4-byte destination, 1-byte type plus padding, and four 8-byte payload
-// slots. Accounting multiplies buffer lengths (not capacities) by this
-// constant, so accounted usage is a pure function of the configuration
-// and seed — identical across chunk sizes, stealing, and executor
-// schedules — which keeps governor decisions deterministic.
+// msgMemBytes is the governor's fixed accounting unit per buffered
+// message: the size of a Msg (4-byte destination, 1-byte type plus
+// padding, four 8-byte payload slots). It is not the resident size:
+// buffers store only the schema's live slots (and a tag only in tagged
+// runs), so a message usually occupies less. Keeping the unit fixed
+// keeps MemoryPeakBytes and every govern decision independent of the
+// buffer layout. Accounting multiplies buffer lengths (not capacities)
+// by this constant, so accounted usage is a pure function of the
+// configuration and seed — identical across chunk sizes, stealing, and
+// executor schedules — which keeps governor decisions deterministic.
 const msgMemBytes = 40
 
 // governor enforces Config.MemoryBudget with staged graceful
@@ -64,20 +68,31 @@ func (e *engine) ckptHeldBytes() int64 {
 func (e *engine) accountedUsage() int64 {
 	var u int64
 	for _, wk := range e.workers {
-		u += int64(len(wk.inFlat)) * msgMemBytes
+		u += int64(wk.resident()) * msgMemBytes
 		u += int64(len(wk.inOff)) * 4
 		for d := range wk.outboxes {
-			u += int64(len(wk.outboxes[d])) * msgMemBytes
+			u += int64(wk.outboxes[d].len()) * msgMemBytes
 		}
 		for ci := range wk.chunks {
 			ck := &wk.chunks[ci]
-			u += int64(len(ck.raw)) * msgMemBytes
+			u += int64(ck.raw.len()) * msgMemBytes
 			for d := range ck.boxes {
-				u += int64(len(ck.boxes[d])) * msgMemBytes
+				u += int64(ck.boxes[d].len()) * msgMemBytes
 			}
 		}
 	}
 	return u + e.ckptHeldBytes()
+}
+
+// resident returns the number of inbox messages held in RAM: the routed
+// total, or 0 once the inbox is spilled.
+//
+//gm:noalloc
+func (wk *worker) resident() int {
+	if wk.spilled {
+		return 0
+	}
+	return wk.inTotal
 }
 
 // releaseOutboxes drops every outbox, chunk box, and raw log — contents
@@ -89,16 +104,16 @@ func (e *engine) releaseOutboxes() int64 {
 	var freed int64
 	for _, wk := range e.workers {
 		for d := range wk.outboxes {
-			freed += int64(len(wk.outboxes[d])) * msgMemBytes
-			wk.outboxes[d] = nil
+			freed += int64(wk.outboxes[d].len()) * msgMemBytes
+			wk.outboxes[d] = msgBox{}
 		}
 		for ci := range wk.chunks {
 			ck := &wk.chunks[ci]
-			freed += int64(len(ck.raw)) * msgMemBytes
-			ck.raw = nil
+			freed += int64(ck.raw.len()) * msgMemBytes
+			ck.raw = msgBox{}
 			for d := range ck.boxes {
-				freed += int64(len(ck.boxes[d])) * msgMemBytes
-				ck.boxes[d] = nil
+				freed += int64(ck.boxes[d].len()) * msgMemBytes
+				ck.boxes[d] = msgBox{}
 			}
 		}
 	}
@@ -110,19 +125,19 @@ func (e *engine) releaseOutboxes() int64 {
 // at a time. Returns the accounted bytes freed.
 func (e *engine) spillInbox(wk *worker, step int) (int64, error) {
 	g := e.gov
-	n := len(wk.inFlat)
+	n := wk.inTotal
 	var t0 int64
 	if e.obsOn {
 		t0 = e.nowNS()
 	}
-	off, enc, err := g.spill.writeSegment(wk.inFlat, g.enc)
-	g.enc = enc
+	g.enc = wk.encodeSpill(g.enc)
+	off, err := g.spill.writeSegment(g.enc)
 	if err != nil {
 		return 0, err
 	}
 	wk.spillOff = off
 	wk.spilled = true
-	wk.inFlat = nil
+	wk.inPay, wk.inTyp = nil, nil
 	disk := int64(n) * spillRecBytes
 	e.stats.Spills++
 	e.stats.SpillBytes += disk
@@ -149,7 +164,7 @@ func (e *engine) govern(step int) error {
 	for usage > g.budget {
 		var victim *worker
 		for _, wk := range e.workers {
-			if len(wk.inFlat) > 0 && (victim == nil || len(wk.inFlat) > len(victim.inFlat)) {
+			if wk.resident() > 0 && (victim == nil || wk.resident() > victim.resident()) {
 				victim = wk
 			}
 		}
@@ -170,22 +185,20 @@ func (e *engine) govern(step int) error {
 }
 
 // readSpillWindow streams the chunk's slice of wk's spilled inbox into
-// this executor's retained scratch. The window is contiguous on disk
-// because chunk local-index ranges are contiguous in the CSR inbox.
-func (x *executor) readSpillWindow(wk *worker, ck *chunk) ([]Msg, error) {
+// this executor's retained scratch, decoded to the inbox layout (payload
+// at stride k, tags in tagged runs) that the message views read. The
+// window is contiguous on disk because chunk local-index ranges are
+// contiguous in the CSR inbox.
+func (x *executor) readSpillWindow(wk *worker, ck *chunk) ([]uint64, []uint8, error) {
 	first := int(wk.inOff[ck.lo])
 	count := int(wk.inOff[ck.hi]) - first
-	msgs, raw, err := x.e.gov.spill.readWindow(x.spillMsgs, x.spillRaw, wk.spillOff, first, count)
-	x.spillMsgs, x.spillRaw = msgs, raw
-	return msgs, err
-}
-
-// readSpilledInbox reads back a worker's whole spilled inbox (the
-// checkpoint encoder needs the full contents; chunk execution uses the
-// windowed path instead).
-func (e *engine) readSpilledInbox(wk *worker) ([]Msg, error) {
-	msgs, _, err := e.gov.spill.readWindow(nil, nil, wk.spillOff, 0, wk.inTotal)
-	return msgs, err
+	raw, err := x.e.gov.spill.readWindow(x.spillRaw, wk.spillOff, first, count)
+	x.spillRaw = raw
+	if err != nil {
+		return nil, nil, err
+	}
+	x.spillPay, x.spillTyp = wk.decodeSpill(raw, x.spillPay, x.spillTyp)
+	return x.spillPay, x.spillTyp, nil
 }
 
 // unspillAll restores every spilled inbox to RAM, bit-identical to its
@@ -196,11 +209,11 @@ func (e *engine) unspillAll() error {
 		if !wk.spilled {
 			continue
 		}
-		msgs, err := e.readSpilledInbox(wk)
+		raw, err := e.gov.spill.readWindow(nil, wk.spillOff, 0, wk.inTotal)
 		if err != nil {
 			return err
 		}
-		wk.inFlat = msgs
+		wk.inPay, wk.inTyp = wk.decodeSpill(raw, nil, nil)
 		wk.spilled = false
 	}
 	return nil

@@ -44,8 +44,9 @@ func (j *perfRankJob) MasterCompute(mc *MasterContext) {
 
 func (j *perfRankJob) VertexCompute(vc *VertexContext) {
 	sum := 0.0
-	for _, m := range vc.Messages() {
-		sum += m.Float(0)
+	msgs := vc.Messages()
+	for i := range msgs.Len() {
+		sum += msgs.Float(i, 0)
 	}
 	id := int(vc.ID())
 	j.rank[id] = 0.15/float64(len(j.rank)) + 0.85*sum
@@ -105,12 +106,12 @@ func resetOutbound(wk *worker) {
 	for ci := range wk.chunks {
 		ck := &wk.chunks[ci]
 		for d := range ck.boxes {
-			ck.boxes[d] = ck.boxes[d][:0]
+			ck.boxes[d].reset()
 		}
-		ck.raw = ck.raw[:0]
+		ck.raw.reset()
 	}
 	for d := range wk.outboxes {
-		wk.outboxes[d] = wk.outboxes[d][:0]
+		wk.outboxes[d].reset()
 	}
 	if wk.combineIdx != nil {
 		clear(wk.combineIdx)
@@ -363,34 +364,52 @@ func BenchmarkSuperstepPageRank(b *testing.B) {
 }
 
 // BenchmarkRouting measures the routing phase alone: outboxes are
-// refilled outside the timer each iteration.
+// refilled outside the timer each iteration. The sub-benchmarks vary the
+// buffer layout: slots4 leaves MessageSlots nil (every message buffers
+// MaxPayloadSlots slots), slots1 declares the one live slot of a
+// single-type job, and slots2-tagged two slots and two message types, so
+// every message also carries its type tag.
 func BenchmarkRouting(b *testing.B) {
 	const n = 4096
 	g := gen.TwitterLike(n, 8, 3)
-	j := newPerfRankJob(n, 1<<30)
-	e := newEngine(g, j, Config{NumWorkers: 4, Seed: 1}.withDefaults())
-	defer e.stop()
-	fill := func() {
-		var m Msg
-		m.SetFloat(0, 1)
-		for _, wk := range e.workers {
-			resetOutbound(wk)
-			vc := sendContext(e, wk, 0)
-			for _, v := range wk.ids {
-				vc.id = v
-				vc.SendToAllNbrs(m)
+	for _, bc := range []struct {
+		name   string
+		schema Schema
+		types  int
+	}{
+		{"slots4", Schema{MessagePayloadBytes: []int{8}}, 1},
+		{"slots1", Schema{MessagePayloadBytes: []int{8}, MessageSlots: []int{1}}, 1},
+		{"slots2-tagged", Schema{MessagePayloadBytes: []int{16, 16}, MessageSlots: []int{2, 2}}, 2},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			j := &schemaJob{Job: newPerfRankJob(n, 1<<30), s: bc.schema}
+			e := newEngine(g, j, Config{NumWorkers: 4, Seed: 1}.withDefaults())
+			defer e.stop()
+			fill := func() {
+				var m Msg
+				m.SetFloat(0, 1)
+				m.SetFloat(1, 2)
+				for _, wk := range e.workers {
+					resetOutbound(wk)
+					vc := sendContext(e, wk, 0)
+					for _, v := range wk.ids {
+						vc.id = v
+						m.Type = uint8(int(v) % bc.types)
+						vc.SendToAllNbrs(m)
+					}
+				}
 			}
-		}
-	}
-	fill()
-	e.routeMessages()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		fill()
-		b.StartTimer()
-		e.routeMessages()
+			fill()
+			e.routeMessages()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				fill()
+				b.StartTimer()
+				e.routeMessages()
+			}
+		})
 	}
 }
 

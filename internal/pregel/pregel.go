@@ -48,9 +48,14 @@ import (
 // complex, Betweenness Centrality's reverse sweep, needs two).
 const MaxPayloadSlots = 4
 
-// Msg is a message between vertices. Payload slots hold int64, float64
-// (bit-cast), bool, or node IDs; the schema of each Type determines how
-// many slots are live and what their wire size is.
+// Msg is a message between vertices, as a job builds it for Send and
+// SendToAllNbrs. Payload slots hold int64, float64 (bit-cast), bool, or
+// node IDs; the schema of each Type determines how many slots are live
+// and what their wire size is. The engine buffers only the live slots
+// (Schema.MessageSlots): slots beyond a type's declared width are not
+// delivered and read as 0 on the receiving side. When the schema
+// declares exactly one message type the engine stores no type tag, and
+// every message is delivered, accounted and combined as type 0.
 type Msg struct {
 	Dst  graph.NodeID
 	Type uint8
@@ -154,8 +159,13 @@ type Schema struct {
 	// type, indexed by Msg.Type. A nil/empty slice means the job sends no
 	// messages.
 	MessagePayloadBytes []int
-	Aggregators         []AggSpec
-	Globals             []GlobalSpec
+	// MessageSlots gives the number of live payload slots of each message
+	// type, indexed like MessagePayloadBytes; each count is in
+	// [0, MaxPayloadSlots]. The engine buffers max(MessageSlots) slots
+	// per message. Nil means every type uses MaxPayloadSlots.
+	MessageSlots []int
+	Aggregators  []AggSpec
+	Globals      []GlobalSpec
 	// Combiners optionally provides a combiner per message type (nil
 	// entries disable combining for that type). Combined messages are
 	// merged sender-side, reducing both message count and network bytes;
@@ -164,6 +174,36 @@ type Schema struct {
 	// replays them in emission order, so combined results are bit-identical
 	// across chunk sizes and stealing.
 	Combiners []Combiner
+}
+
+// validate checks MessageSlots against the declared message types.
+func (s Schema) validate() error {
+	if s.MessageSlots == nil {
+		return nil
+	}
+	if len(s.MessageSlots) != len(s.MessagePayloadBytes) {
+		return fmt.Errorf("pregel: schema declares slot counts for %d message types but payload sizes for %d",
+			len(s.MessageSlots), len(s.MessagePayloadBytes))
+	}
+	for t, k := range s.MessageSlots {
+		if k < 0 || k > MaxPayloadSlots {
+			return fmt.Errorf("pregel: message type %d declares %d payload slots, want 0..%d", t, k, MaxPayloadSlots)
+		}
+	}
+	return nil
+}
+
+// bufferSlots returns k, the payload slots buffered per message: the
+// widest declared type, or MaxPayloadSlots when none are declared.
+func (s Schema) bufferSlots() int {
+	if s.MessageSlots == nil {
+		return MaxPayloadSlots
+	}
+	k := 0
+	for _, n := range s.MessageSlots {
+		k = max(k, n)
+	}
+	return k
 }
 
 // Job is a Pregel program: the pair of compute functions plus the
@@ -473,6 +513,11 @@ type engine struct {
 	baseSize   int64   // wire bytes independent of payload: 4-byte dst + optional tag
 	msgSize    []int64 // full wire size per declared message type
 	combActive bool    // the job registers at least one combiner
+	slots      int     // k: payload slots buffered per message
+	tagged     bool    // buffers store a type tag (the schema does not declare exactly one type)
+	// width is the declared slot count per type (nil when MessageSlots
+	// is); slots beyond it are zeroed at send.
+	width []uint8
 
 	// Source-shard geometry for routing: workers are grouped into shards
 	// contiguous shard ranges (shardStart[s]..shardStart[s+1]).
@@ -550,8 +595,8 @@ type chunk struct {
 	// boxes are the per-destination-worker outboxes (plain jobs); raw is
 	// the emission log (combiner jobs, multi-chunk workers) replayed by
 	// the fold phase.
-	boxes [][]Msg
-	raw   []Msg
+	boxes []msgBox
+	raw   msgBox
 	agg   []aggCell
 	// numActive counts active vertices in [lo, hi), maintained
 	// incrementally by chunk execution, VoteToHalt, and routing
@@ -587,9 +632,14 @@ type worker struct {
 	// numActive mirrors the sum of chunk numActive counters; refreshed at
 	// the termination check and by checkpoint decode.
 	numActive int
-	inFlat    []Msg
-	inOff     []int32 // CSR offsets into inFlat, len = len(ids)+1
-	inTotal   int     // messages routed into inFlat by the last routing phase
+	// The routed inbox, CSR by local vertex: message p of the inbox has
+	// payload inPay[p*k:(p+1)*k] and, in tagged runs, type inTyp[p]; the
+	// destination is implied by its row. inOff[li]..inOff[li+1] is vertex
+	// li's row.
+	inPay   []uint64
+	inTyp   []uint8
+	inOff   []int32 // CSR offsets, len = len(ids)+1
+	inTotal int     // messages routed into the inbox by the last routing phase
 
 	chunks []chunk
 	// cursor is the next unclaimed chunk index (vertex phase).
@@ -606,8 +656,9 @@ type worker struct {
 	// replays them here in emission order (single-chunk workers write
 	// directly). combineIdx maps (dst, type) to the pending outbox slot;
 	// cleared (not reallocated) each superstep.
-	outboxes   [][]Msg // per destination worker; combiner jobs only
+	outboxes   []msgBox // per destination worker; combiner jobs only
 	combineIdx map[uint64]combineSlot
+	pending    *Msg // combineInto's scratch; combiner jobs only
 
 	// Hot-path caches copied from the engine at construction so send
 	// touches one cache line instead of chasing e.schema.
@@ -615,6 +666,9 @@ type worker struct {
 	combiners []Combiner // nil when the job registers none
 	msgSize   []int64
 	baseSize  int64
+	k         int
+	tagged    bool
+	width     []uint8
 
 	// Per-superstep counter accumulators. The combiner fold/direct path
 	// feeds them during compute; the worker epilogue folds the chunk
@@ -660,8 +714,8 @@ type worker struct {
 	// goroutine before dispatch, cleared when the phase is collected.
 	stallNS int64
 
-	// Governor spill state: when spilled, inFlat is empty and the routed
-	// inbox lives in the spill store segment at spillOff (inOff is
+	// Governor spill state: when spilled, inPay/inTyp are empty and the
+	// routed inbox lives in the spill store segment at spillOff (inOff is
 	// retained, so chunk windows remain addressable).
 	spilled  bool
 	spillOff int64
@@ -705,9 +759,11 @@ type executor struct {
 	// parked), for the watchdog's stall diagnosis.
 	curPhase atomic.Int32
 
-	// Retained scratch for reading spilled inbox windows.
-	spillMsgs []Msg
-	spillRaw  []byte
+	// Retained scratch for reading spilled inbox windows: the decoded
+	// payload (stride k) and tags the view reads, and the raw records.
+	spillPay []uint64
+	spillTyp []uint8
+	spillRaw []byte
 
 	err error
 }
@@ -751,6 +807,9 @@ func Run(g *graph.Directed, job Job, cfg Config) (Stats, error) {
 // superstep in progress is never interrupted mid-phase.
 func RunContext(ctx context.Context, g *graph.Directed, job Job, cfg Config) (Stats, error) {
 	cfg = cfg.withDefaults()
+	if err := job.Schema().validate(); err != nil {
+		return Stats{}, err
+	}
 	if cfg.Deadline > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, cfg.Deadline)
@@ -795,6 +854,14 @@ func newEngine(g *graph.Directed, job Job, cfg Config) *engine {
 	e.msgSize = make([]int64, len(e.schema.MessagePayloadBytes))
 	for t, p := range e.schema.MessagePayloadBytes {
 		e.msgSize[t] = e.baseSize + int64(p)
+	}
+	e.slots = e.schema.bufferSlots()
+	e.tagged = len(e.schema.MessagePayloadBytes) != 1
+	if e.schema.MessageSlots != nil {
+		e.width = make([]uint8, len(e.schema.MessageSlots))
+		for t, n := range e.schema.MessageSlots {
+			e.width[t] = uint8(n)
+		}
 	}
 	e.mc = MasterContext{e: e}
 	var combiners []Combiner
@@ -859,13 +926,17 @@ func newEngine(g *graph.Directed, job Job, cfg Config) *engine {
 		wk.numActive = len(wk.ids)
 		wk.inOff = make([]int32, len(wk.ids)+1)
 		if combiners != nil {
-			wk.outboxes = make([][]Msg, e.numWorkers)
+			wk.outboxes = make([]msgBox, e.numWorkers)
 			wk.combineIdx = make(map[uint64]combineSlot)
+			wk.pending = new(Msg)
 		}
 		wk.div = e.div
 		wk.combiners = combiners
 		wk.msgSize = e.msgSize
 		wk.baseSize = e.baseSize
+		wk.k = e.slots
+		wk.tagged = e.tagged
+		wk.width = e.width
 
 		// Chunk geometry: fixed for the run, derived only from the
 		// partition size and ChunkSize, never from execution.
@@ -886,7 +957,7 @@ func newEngine(g *graph.Directed, job Job, cfg Config) *engine {
 			ck.numActive = ck.hi - ck.lo
 			ck.agg = make([]aggCell, len(e.schema.Aggregators))
 			if combiners == nil {
-				ck.boxes = make([][]Msg, e.numWorkers)
+				ck.boxes = make([]msgBox, e.numWorkers)
 			}
 		}
 		wk.single = numChunks == 1
@@ -1101,12 +1172,12 @@ func (x *executor) runChunk(wk *worker, ci, step int) {
 	// combiner workers write worker-level state directly, so reset it
 	// here; multi-chunk workers reset it in the fold phase.
 	for d := range ck.boxes {
-		ck.boxes[d] = ck.boxes[d][:0]
+		ck.boxes[d].reset()
 	}
-	ck.raw = ck.raw[:0]
+	ck.raw.reset()
 	if wk.single && wk.combineIdx != nil {
 		for d := range wk.outboxes {
-			wk.outboxes[d] = wk.outboxes[d][:0]
+			wk.outboxes[d].reset()
 		}
 		clear(wk.combineIdx)
 	}
@@ -1134,12 +1205,12 @@ func (x *executor) runChunk(wk *worker, ci, step int) {
 	}
 	// Spilled inbox: stream this chunk's contiguous window back from the
 	// segment store into executor-local scratch (inOff stays global, so
-	// message slicing below rebases against the window start).
-	flat := wk.inFlat
+	// the message views below rebase against the window start).
+	pay, typ := wk.inPay, wk.inTyp
 	var base int32
 	if wk.spilled {
 		var err error
-		flat, err = x.readSpillWindow(wk, ck) //gm:alloc-ok post-degradation path: spill read-back grows retained scratch to its high-water mark
+		pay, typ, err = x.readSpillWindow(wk, ck) //gm:alloc-ok post-degradation path: spill read-back grows retained scratch to its high-water mark
 		if err != nil {
 			ck.err = err
 			return
@@ -1169,7 +1240,7 @@ func (x *executor) runChunk(wk *worker, ci, step int) {
 		}
 		vc.id = wk.ids[li]
 		vc.local = li
-		vc.msgs = flat[wk.inOff[li]-base : wk.inOff[li+1]-base]
+		vc.msgs.window(pay, typ, wk.inOff[li]-base, wk.inOff[li+1]-base, wk.k)
 		ck.calls++
 		e.job.VertexCompute(vc) //gm:alloc-ok job contract: VertexCompute must be allocation-free; perf_test gates the full cycle at AllocsPerRun==0
 	}
@@ -1215,7 +1286,7 @@ func (wk *worker) fold() {
 		wk.foldStartNS = wk.e.nowNS()
 	}
 	for d := range wk.outboxes {
-		wk.outboxes[d] = wk.outboxes[d][:0]
+		wk.outboxes[d].reset()
 	}
 	clear(wk.combineIdx)
 	// Injected fold fault: die midway through the replay, with outboxes
@@ -1225,23 +1296,34 @@ func (wk *worker) fold() {
 	if wk.foldFault {
 		total := 0
 		for ci := range wk.chunks {
-			total += len(wk.chunks[ci].raw)
+			total += wk.chunks[ci].raw.len()
 		}
 		limit = total / 2
 	}
 	replayed := 0
+	// m is rebuilt in place for each logged message; its slots at and
+	// beyond k are never written and stay 0.
+	var m Msg
+	k := wk.k
 	for ci := range wk.chunks {
-		ck := &wk.chunks[ci]
-		for i := range ck.raw {
+		raw := &wk.chunks[ci].raw
+		for i, d := range raw.dst {
 			if replayed == limit {
 				wk.foldFault = false
 				wk.phaseErr = &InjectedFault{Superstep: wk.faultStep, Worker: wk.index, Phase: FaultFold} //gm:alloc-ok fault-injection testing path; never armed in production runs
 				return
 			}
-			wk.foldSend(ck.raw[i])
+			m.Dst = d
+			if wk.tagged {
+				m.Type = raw.typ[i]
+			}
+			for s, v := range raw.pay[i*k : (i+1)*k] {
+				m.V[s] = v
+			}
+			wk.foldSend(&m)
 			replayed++
 		}
-		ck.raw = ck.raw[:0]
+		raw.reset()
 	}
 	if wk.e.obsOn {
 		wk.foldDurNS = wk.e.nowNS() - wk.foldStartNS
@@ -1261,17 +1343,17 @@ type combineSlot struct {
 // capacity has reached its high-water mark.
 //
 //gm:noalloc
-func (wk *worker) foldSend(m Msg) {
+func (wk *worker) foldSend(m *Msg) {
 	dw := wk.ownerOf(m.Dst)
 	if cs := wk.combiners; cs != nil && int(m.Type) < len(cs) && cs[m.Type] != nil {
 		key := uint64(uint32(m.Dst))<<8 | uint64(m.Type)
 		if slot, ok := wk.combineIdx[key]; ok {
-			cs[m.Type](&wk.outboxes[slot.dw][slot.idx], m) //gm:alloc-ok job-registered combiner funcs fold in place into the existing slot; covered by the runtime alloc gate
+			wk.combineInto(&wk.outboxes[slot.dw], slot.idx, cs[m.Type], m)
 			return
 		}
-		wk.combineIdx[key] = combineSlot{dw: dw, idx: len(wk.outboxes[dw])} //gm:alloc-ok insert after clear() reuses retained buckets; grows only until the high-water mark
+		wk.combineIdx[key] = combineSlot{dw: dw, idx: wk.outboxes[dw].len()} //gm:alloc-ok insert after clear() reuses retained buckets; grows only until the high-water mark
 	}
-	wk.outboxes[dw] = append(wk.outboxes[dw], m) //gm:alloc-ok outbox capacity is retained across supersteps; grows only until the high-water mark
+	wk.outboxes[dw].push(m.Dst, m.Type, m.V[:wk.k], wk.tagged)
 	wk.msgs++
 	size := wk.baseSize
 	if int(m.Type) < len(wk.msgSize) {
@@ -1282,6 +1364,39 @@ func (wk *worker) foldSend(m Msg) {
 		wk.netBytes += size
 	} else {
 		wk.localBytes += size
+	}
+}
+
+// combineInto folds m into pending message i of b: the combiner sees
+// the pending message rebuilt from its buffered slots in worker-owned
+// scratch (a local would escape through the dynamic call), and its
+// result, trimmed to the type's declared width, is written back in
+// place.
+//
+//gm:noalloc
+func (wk *worker) combineInto(b *msgBox, i int, c Combiner, m *Msg) {
+	into := wk.pending
+	into.Dst, into.Type, into.V = m.Dst, m.Type, [MaxPayloadSlots]uint64{}
+	slots := b.pay[i*wk.k : (i+1)*wk.k]
+	for s, v := range slots {
+		into.V[s] = v
+	}
+	c(into, *m) //gm:alloc-ok job-registered combiner funcs fold in place into the worker's scratch; covered by the runtime alloc gate
+	wk.trim(into)
+	for s := range slots {
+		slots[s] = into.V[s]
+	}
+}
+
+// trim zeroes the slots of m beyond its type's declared width, so they
+// are not delivered.
+//
+//gm:noalloc
+func (wk *worker) trim(m *Msg) {
+	if int(m.Type) < len(wk.width) {
+		for s := int(wk.width[m.Type]); s < wk.k; s++ {
+			m.V[s] = 0
+		}
 	}
 }
 
@@ -1782,13 +1897,13 @@ func (e *engine) countShard(dst *worker, sh int) {
 	var total int32
 	if e.combActive {
 		for s := lo; s < hi; s++ {
-			total += int32(len(e.workers[s].outboxes[d]))
+			total += int32(e.workers[s].outboxes[d].len())
 		}
 	} else {
 		for s := lo; s < hi; s++ {
 			src := e.workers[s]
 			for ci := range src.chunks {
-				total += int32(len(src.chunks[ci].boxes[d]))
+				total += int32(src.chunks[ci].boxes[d].len())
 			}
 		}
 	}
@@ -1802,8 +1917,8 @@ func (e *engine) countShard(dst *worker, sh int) {
 	}
 	if e.combActive {
 		for s := lo; s < hi; s++ {
-			for _, m := range e.workers[s].outboxes[d] {
-				cnt[dst.localOf(m.Dst)]++
+			for _, v := range e.workers[s].outboxes[d].dst {
+				cnt[dst.localOf(v)]++
 			}
 		}
 		return
@@ -1811,8 +1926,8 @@ func (e *engine) countShard(dst *worker, sh int) {
 	for s := lo; s < hi; s++ {
 		src := e.workers[s]
 		for ci := range src.chunks {
-			for _, m := range src.chunks[ci].boxes[d] {
-				cnt[dst.localOf(m.Dst)]++
+			for _, v := range src.chunks[ci].boxes[d].dst {
+				cnt[dst.localOf(v)]++
 			}
 		}
 	}
@@ -1883,11 +1998,7 @@ func (wk *worker) routePrefix() {
 	}
 	wk.inTotal = total
 	wk.inDepth.Store(int64(total))
-	if cap(wk.inFlat) < total {
-		wk.inFlat = make([]Msg, total) //gm:alloc-ok inbox grows to its high-water mark, then capacity is reused; steady state allocation-free
-	} else {
-		wk.inFlat = wk.inFlat[:total]
-	}
+	wk.sizeInbox(total)
 	n := len(wk.ids)
 	if total == 0 {
 		for i := range wk.inOff {
@@ -1919,9 +2030,22 @@ func (wk *worker) routePrefix() {
 	}
 }
 
+// sizeInbox sets the inbox to total messages (k slots each, plus tags
+// in tagged runs), growing it to its high-water mark.
+//
+//gm:noalloc
+func (wk *worker) sizeInbox(total int) {
+	wk.inPay = grow(wk.inPay, total*wk.k) //gm:alloc-ok inbox grows to its high-water mark, then capacity is reused; steady state allocation-free
+	if wk.tagged {
+		wk.inTyp = grow(wk.inTyp, total) //gm:alloc-ok inbox grows to its high-water mark, then capacity is reused; steady state allocation-free
+	}
+}
+
 // placeShard stably places source shard s's messages at the offsets
 // computed by routePrefix, walking the shard's boxes in the same
-// canonical order countShard counted them.
+// canonical order countShard counted them. Only the payload slots (and
+// tags, in tagged runs) are copied: the row names the destination. An
+// untagged run with no payload slots has nothing to place.
 //
 //gm:noalloc
 func (wk *worker) placeShard(s int) {
@@ -1929,7 +2053,7 @@ func (wk *worker) placeShard(s int) {
 		wk.routeFaultOn = false
 		wk.phaseErr = &InjectedFault{Superstep: wk.faultStep, Worker: wk.index, Phase: FaultRoutePlace} //gm:alloc-ok fault-injection testing path; never armed in production runs
 	}
-	if wk.srcMsgs[s] == 0 {
+	if wk.srcMsgs[s] == 0 || (wk.k == 0 && !wk.tagged) {
 		return
 	}
 	e := wk.e
@@ -1938,24 +2062,34 @@ func (wk *worker) placeShard(s int) {
 	pos := wk.srcCounts[s]
 	if e.combActive {
 		for src := lo; src < hi; src++ {
-			for _, m := range e.workers[src].outboxes[d] {
-				li := wk.localOf(m.Dst)
-				p := pos[li]
-				pos[li] = p + 1
-				wk.inFlat[p] = m
-			}
+			wk.placeBox(pos, &e.workers[src].outboxes[d])
 		}
 		return
 	}
 	for src := lo; src < hi; src++ {
 		sw := e.workers[src]
 		for ci := range sw.chunks {
-			for _, m := range sw.chunks[ci].boxes[d] {
-				li := wk.localOf(m.Dst)
-				p := pos[li]
-				pos[li] = p + 1
-				wk.inFlat[p] = m
-			}
+			wk.placeBox(pos, &sw.chunks[ci].boxes[d])
+		}
+	}
+}
+
+// placeBox places one box's messages at the running offsets in pos.
+//
+//gm:noalloc
+func (wk *worker) placeBox(pos []int32, b *msgBox) {
+	k := wk.k
+	for i, v := range b.dst {
+		li := wk.localOf(v)
+		p := int(pos[li])
+		pos[li] = int32(p + 1)
+		if wk.tagged {
+			wk.inTyp[p] = b.typ[i]
+		}
+		dst := wk.inPay[p*k : p*k+k]
+		src := b.pay[i*k : i*k+k]
+		for j := range dst {
+			dst[j] = src[j]
 		}
 	}
 }

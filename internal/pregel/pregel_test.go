@@ -37,9 +37,10 @@ func (j *minLabelJob) VertexCompute(vc *VertexContext) {
 		return
 	}
 	changed := false
-	for _, m := range vc.Messages() {
-		if m.Int(0) < j.label[v] {
-			j.label[v] = m.Int(0)
+	msgs := vc.Messages()
+	for i := range msgs.Len() {
+		if msgs.Int(i, 0) < j.label[v] {
+			j.label[v] = msgs.Int(i, 0)
 			changed = true
 		}
 	}
@@ -122,8 +123,9 @@ func (j *delayJob) MasterCompute(mc *MasterContext) {
 	}
 }
 func (j *delayJob) VertexCompute(vc *VertexContext) {
-	for _, m := range vc.Messages() {
-		if got := int(m.Int(0)); got != vc.Superstep()-1 {
+	msgs := vc.Messages()
+	for i := range msgs.Len() {
+		if got := int(msgs.Int(i, 0)); got != vc.Superstep()-1 {
 			j.t.Errorf("vertex %d at step %d got message sent at step %d", vc.ID(), vc.Superstep(), got)
 		}
 		j.sawAt[vc.ID()] = vc.Superstep()

@@ -10,6 +10,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -114,43 +115,112 @@ func TestSpillStoreRoundTrip(t *testing.T) {
 		}
 		return msgs
 	}
+	// The record and raw buffers are reused across calls, as the engine
+	// reuses its spill scratch.
+	var recs, raw []byte
+	writeSegment := func(msgs []Msg) (int64, error) {
+		recs = grow(recs, len(msgs)*spillRecBytes)
+		for i := range msgs {
+			encodeSpillRec(recs[i*spillRecBytes:], &msgs[i])
+		}
+		return s.writeSegment(recs)
+	}
+	readWindow := func(off int64, first, count int) ([]Msg, error) {
+		var err error
+		raw, err = s.readWindow(raw, off, first, count)
+		msgs := make([]Msg, len(raw)/spillRecBytes)
+		for i := range msgs {
+			decodeSpillRec(raw[i*spillRecBytes:], &msgs[i])
+		}
+		return msgs, err
+	}
 	a := mk(17, 0)
-	offA, scratch, err := s.writeSegment(a, nil)
+	offA, err := writeSegment(a)
 	if err != nil {
 		t.Fatal(err)
 	}
 	b := mk(5, 1000)
-	offB, _, err := s.writeSegment(b, scratch)
+	offB, err := writeSegment(b)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if offB != int64(len(a))*spillRecBytes {
 		t.Errorf("second segment offset = %d, want %d", offB, int64(len(a))*spillRecBytes)
 	}
-	got, _, err := s.readWindow(nil, nil, offA, 0, len(a))
+	got, err := readWindow(offA, 0, len(a))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(a, got) {
 		t.Errorf("segment A round-trip differs")
 	}
-	win, _, err := s.readWindow(nil, nil, offA, 4, 9)
+	win, err := readWindow(offA, 4, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(a[4:13], win) {
 		t.Errorf("sub-window [4:13) round-trip differs")
 	}
-	got, _, err = s.readWindow(got, nil, offB, 0, len(b))
+	got, err = readWindow(offB, 0, len(b))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(b, got) {
 		t.Errorf("segment B round-trip differs")
 	}
-	empty, _, err := s.readWindow(nil, nil, offA, 3, 0)
+	empty, err := readWindow(offA, 3, 0)
 	if err != nil || len(empty) != 0 {
 		t.Errorf("empty window: msgs=%v err=%v", empty, err)
+	}
+}
+
+// A worker's resident inbox encodes to spill records and decodes back to
+// the same payload slots and tags at every buffer width, tagged and
+// untagged; each record's destination is its CSR row's vertex.
+func TestWorkerSpillCodecRoundTrip(t *testing.T) {
+	for _, k := range []int{0, 1, 4} {
+		for _, tagged := range []bool{false, true} {
+			wk := &worker{k: k, tagged: tagged}
+			wk.ids = []graph.NodeID{3, 8, 13, 21}
+			wk.inOff = []int32{0, 2, 2, 5, 6}
+			wk.inTotal = 6
+			wk.inPay = make([]uint64, wk.inTotal*k)
+			for i := range wk.inPay {
+				wk.inPay[i] = uint64(i+1)<<40 | 0x8000000000000001
+			}
+			if tagged {
+				wk.inTyp = []uint8{2, 0, 1, 1, 3, 0}
+			}
+			var buf []byte
+			var pay []uint64
+			var typ []uint8
+			// Twice, so the second pass reuses every buffer.
+			for range 2 {
+				buf = wk.encodeSpill(buf)
+				if len(buf) != wk.inTotal*spillRecBytes {
+					t.Fatalf("k=%d tagged=%v: %d spill bytes, want %d", k, tagged, len(buf), wk.inTotal*spillRecBytes)
+				}
+				for li, v := range wk.ids {
+					for p := wk.inOff[li]; p < wk.inOff[li+1]; p++ {
+						var m Msg
+						decodeSpillRec(buf[int(p)*spillRecBytes:], &m)
+						if m.Dst != v {
+							t.Errorf("k=%d tagged=%v: record %d Dst = %d, want %d", k, tagged, p, m.Dst, v)
+						}
+						if slices.ContainsFunc(m.V[k:], func(x uint64) bool { return x != 0 }) {
+							t.Errorf("k=%d tagged=%v: record %d unbuffered slots %v, want 0", k, tagged, p, m.V[k:])
+						}
+					}
+				}
+				pay, typ = wk.decodeSpill(buf, pay, typ)
+				if !slices.Equal(pay, wk.inPay) {
+					t.Errorf("k=%d tagged=%v: payload %v, want %v", k, tagged, pay, wk.inPay)
+				}
+				if tagged && !slices.Equal(typ, wk.inTyp) {
+					t.Errorf("k=%d tagged=%v: tags %v, want %v", k, tagged, typ, wk.inTyp)
+				}
+			}
+		}
 	}
 }
 

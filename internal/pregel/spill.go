@@ -9,9 +9,12 @@ import (
 )
 
 // spillRecBytes is the fixed on-disk size of one spilled message:
-// 4-byte destination id, 1-byte type tag, four 8-byte payload slots.
-// The encoding is position-independent, so a window of records can be
-// read back from any offset with a single ReadAt.
+// 4-byte destination id, 1-byte type tag, four 8-byte payload slots
+// (slots the run does not buffer are written as 0). The record keeps
+// this fixed layout whatever the run's buffer width, so SpillBytes does
+// not depend on the schema. The encoding is position-independent, so a
+// window of records can be read back from any offset with a single
+// ReadAt.
 const spillRecBytes = 4 + 1 + 8*MaxPayloadSlots
 
 // spillStore is the governor's temp-file segment store for inboxes that
@@ -49,51 +52,75 @@ func (s *spillStore) close() {
 	s.size = 0
 }
 
-// writeSegment appends msgs as one contiguous segment and returns its
-// byte offset. The encoding round-trips bit-identically: every payload
-// slot is stored raw.
-func (s *spillStore) writeSegment(msgs []Msg, scratch []byte) (off int64, buf []byte, err error) {
+// writeSegment appends recs, a run of encoded records, as one
+// contiguous segment and returns its byte offset.
+func (s *spillStore) writeSegment(recs []byte) (off int64, err error) {
 	if err := s.open(); err != nil {
-		return 0, scratch, err
-	}
-	need := len(msgs) * spillRecBytes
-	if cap(scratch) < need {
-		scratch = make([]byte, need)
-	}
-	buf = scratch[:need]
-	for i := range msgs {
-		encodeSpillRec(buf[i*spillRecBytes:(i+1)*spillRecBytes], &msgs[i])
+		return 0, err
 	}
 	off = s.size
-	if _, err := s.f.WriteAt(buf, off); err != nil {
-		return 0, buf, fmt.Errorf("pregel: spill write failed: %w", err)
+	if _, err := s.f.WriteAt(recs, off); err != nil {
+		return 0, fmt.Errorf("pregel: spill write failed: %w", err)
 	}
-	s.size += int64(need)
-	return off, buf, nil
+	s.size += int64(len(recs))
+	return off, nil
 }
 
 // readWindow reads count records starting at record index first of the
-// segment at off into dst (grown as needed) and decodes them.
-func (s *spillStore) readWindow(dst []Msg, raw []byte, off int64, first, count int) ([]Msg, []byte, error) {
-	need := count * spillRecBytes
-	if cap(raw) < need {
-		raw = make([]byte, need)
-	}
-	raw = raw[:need]
-	if cap(dst) < count {
-		dst = make([]Msg, count)
-	}
-	dst = dst[:count]
+// segment at off into raw (grown as needed).
+func (s *spillStore) readWindow(raw []byte, off int64, first, count int) ([]byte, error) {
+	raw = grow(raw, count*spillRecBytes)
 	if count == 0 {
-		return dst, raw, nil
+		return raw, nil
 	}
 	if _, err := s.f.ReadAt(raw, off+int64(first)*spillRecBytes); err != nil {
-		return dst, raw, fmt.Errorf("pregel: spill read failed: %w", err)
+		return raw, fmt.Errorf("pregel: spill read failed: %w", err)
 	}
-	for i := range dst {
-		decodeSpillRec(raw[i*spillRecBytes:(i+1)*spillRecBytes], &dst[i])
+	return raw, nil
+}
+
+// encodeSpill encodes wk's resident inbox as spill records into buf
+// (grown as needed), rebuilding each destination from its CSR row.
+func (wk *worker) encodeSpill(buf []byte) []byte {
+	buf = grow(buf, wk.inTotal*spillRecBytes)
+	for li, v := range wk.ids {
+		for p := int(wk.inOff[li]); p < int(wk.inOff[li+1]); p++ {
+			m := wk.inboxMsg(p, v)
+			encodeSpillRec(buf[p*spillRecBytes:(p+1)*spillRecBytes], &m)
+		}
 	}
-	return dst, raw, nil
+	return buf
+}
+
+// decodeSpill decodes the records in raw into payload slots (stride k)
+// and, in tagged runs, type tags, growing pay and typ as needed.
+func (wk *worker) decodeSpill(raw []byte, pay []uint64, typ []uint8) ([]uint64, []uint8) {
+	n := len(raw) / spillRecBytes
+	k := wk.k
+	pay = grow(pay, n*k)
+	if wk.tagged {
+		typ = grow(typ, n)
+	}
+	var m Msg
+	for i := 0; i < n; i++ {
+		decodeSpillRec(raw[i*spillRecBytes:(i+1)*spillRecBytes], &m)
+		copy(pay[i*k:(i+1)*k], m.V[:k])
+		if wk.tagged {
+			typ[i] = m.Type
+		}
+	}
+	return pay, typ
+}
+
+// inboxMsg rebuilds resident inbox message p, addressed to v (its row's
+// vertex); slots the run does not buffer are 0.
+func (wk *worker) inboxMsg(p int, v graph.NodeID) Msg {
+	m := Msg{Dst: v}
+	if wk.tagged {
+		m.Type = wk.inTyp[p]
+	}
+	copy(m.V[:wk.k], wk.inPay[p*wk.k:(p+1)*wk.k])
+	return m
 }
 
 func encodeSpillRec(b []byte, m *Msg) {
